@@ -11,9 +11,12 @@
 //   - cluster: sorting alone does not help; SM wins big (up to 12.8x in 2D)
 //   - SM's throughput is distribution-robust (rand ~ cluster)
 //
-// A final section benchmarks the width-specialized SIMD fast path against the
-// runtime-width scalar fallback (3D SM, M = 1e6, tol = 1e-6, fp32 — the
-// tracked configuration), with and without the Horner kernel table.
+// Later sections bench, at the tracked configuration (3D, M = 1e6, tol = 1e-6,
+// fp32): the width-specialized SIMD fast path against the runtime-width
+// scalar fallback (KernelParams::fast = false) with and without the Horner
+// kernel table; batched vs serial executes; sigma = 2 vs 1.25; the tile-owned
+// writeback against the atomic one at the spread layer; the chunked tile
+// scheduler on clustered points; and worker-count scaling.
 //
 // All rows are also emitted as machine-readable JSON (--json <path>, default
 // BENCH_spread.json) so the perf trajectory is tracked across PRs.
@@ -227,8 +230,8 @@ void run_fastpath(vgpu::Device& dev, std::size_t M, int reps, bench::JsonReport&
 
 /// Tracked execute-ablation problem: 3D rand at density rho ~= 1 — modes N
 /// per axis sized so the sigma = 2 fine grid holds ~M points. Shared by the
-/// batch / repeated-execute / worker-count / interior ablations so they all
-/// bench the same configuration.
+/// batch / sigma / tiled / worker-count ablations so they all bench the same
+/// configuration.
 struct Tracked3d {
   std::vector<std::int64_t> N;
   std::size_t ntot;
@@ -331,70 +334,6 @@ void run_batch(vgpu::Device& dev, const Tracked3d& t3, std::size_t M, int reps,
   t.print();
 }
 
-/// Repeated-execute ablation at the tracked configuration (3D SM type-1,
-/// rand, M = mfast, tol = 1e-6, fp32): one set_points, many executes, with
-/// the plan-resident PointCache (tap table built once in set_points) against
-/// the per-execute-rebuild baseline (Options::point_cache = 0 — the pre-cache
-/// pipeline's cost model). Reports both whole-execute and spread-stage time.
-void run_repeat(vgpu::Device& dev, const Tracked3d& t3, std::size_t M, int reps,
-                bench::JsonReport& json) {
-  const double tol = 1e-6;
-  const auto& [N, ntot, wl] = t3;
-
-  std::printf("\n--- repeated-execute ablation: 3D SM type-1, rand, M=%zu, tol=%g, fp32, "
-              "plan-resident tap cache vs per-execute rebuild ---\n", M, tol);
-
-  auto c = wl.c;  // execute takes a mutable strengths pointer
-  std::vector<std::complex<float>> f(ntot);
-
-  core::Options copts;
-  copts.method = core::Method::SM;
-  core::Options ropts = copts;
-  ropts.point_cache = 0;
-
-  struct Cfg {
-    const char* name;
-    double exec_s, spread_s;
-  } cfgs[2];
-  try {
-    core::Plan<float> cached(dev, 1, N, +1, tol, copts);
-    cached.set_points(M, wl.x.data(), wl.y.data(), wl.z.data());
-    cfgs[1] = {"cached", 0, 0};
-    std::tie(cfgs[1].exec_s, cfgs[1].spread_s) =
-        time_exec_best(cached, [&] { cached.execute(c.data(), f.data()); }, reps);
-
-    core::Plan<float> rebuild(dev, 1, N, +1, tol, ropts);
-    rebuild.set_points(M, wl.x.data(), wl.y.data(), wl.z.data());
-    cfgs[0] = {"rebuild", 0, 0};
-    std::tie(cfgs[0].exec_s, cfgs[0].spread_s) =
-        time_exec_best(rebuild, [&] { rebuild.execute(c.data(), f.data()); }, reps);
-  } catch (const std::invalid_argument& e) {
-    std::printf("SM unavailable at this configuration (%s); skipping.\n", e.what());
-    return;
-  }
-
-  Table t({"path", "exec [s]", "spread [s]", "exec spdup", "spread spdup"});
-  for (const auto& cfg : cfgs) {
-    t.add_row({cfg.name, Table::fmt(cfg.exec_s, 3), Table::fmt(cfg.spread_s, 3),
-               Table::fmt(cfgs[0].exec_s / cfg.exec_s, 2) + "x",
-               Table::fmt(cfgs[0].spread_s / cfg.spread_s, 2) + "x"});
-    auto& rec = json.add();
-    rec.field("bench", "repeat3d")
-        .field("dist", "rand")
-        .field("dim", 3)
-        .field("M", M)
-        .field("tol", tol)
-        .field("method", "SM")
-        .field("path", cfg.name)
-        .field("exec_s", cfg.exec_s)
-        .field("spread_s", cfg.spread_s)
-        .field("pts_per_s", double(M) / cfg.exec_s)
-        .field("speedup_vs_rebuild", cfgs[0].exec_s / cfg.exec_s)
-        .field("spread_speedup_vs_rebuild", cfgs[0].spread_s / cfg.spread_s);
-  }
-  t.print();
-}
-
 /// Worker-count ablation (ROADMAP PR-2 follow-up): the tracked 3D SM type-1
 /// execute at workers in {1, 2, hw}. Each worker count gets its own Device
 /// (its own pool), same points and strengths.
@@ -452,110 +391,150 @@ void run_workers(const Tracked3d& t3, std::size_t M, int reps,
   t.print();
 }
 
-/// Tiled-writeback ablation at the tracked configuration: 3D type-1 execute,
-/// rand, tol = 1e-6, fp32, SM and GM-sort, tile-owned atomic-free writeback
-/// (Options::tiled_spread, the default) against the atomic writeback
-/// baseline. Records per-execute global atomics (zero on the tiled path; the
-/// halo-merge counter shows the plain adds that replaced them), the
-/// set_points/cache-build cost the tile ownership adds, and whether the tiled
-/// output is bitwise-identical across worker counts {1, 2}.
+/// Tiled-writeback ablation at the tracked configuration: 3D spread, rand,
+/// tol = 1e-6, fp32, SM and GM-sort, at the layer entry points. The
+/// tile-owned atomic-free writeback the plans run (spread_tiled_batch; SM
+/// streams its tap table, GM-sort evaluates taps inline) against the atomic
+/// writeback the plans keep as their tile-gate fallback (spread_sm_batch
+/// over the SM subproblems; spread_gm_batch over the interior-first GM-sort
+/// order). Records per-spread global atomics (zero on
+/// the tiled path; the halo-merge counter shows the plain adds that replaced
+/// them), the point-dependent setup each writeback needs, and whether the
+/// tiled output is bitwise-identical across worker counts {1, 2}.
 void run_tiled(const Tracked3d& t3, std::size_t M, int reps, bench::JsonReport& json) {
   const double tol = 1e-6;
-  const auto& [N, ntot, wl] = t3;
-  auto c = wl.c;  // execute takes a mutable strengths pointer
-  std::vector<std::complex<float>> f(ntot);
+  const auto& wl = t3.wl;
+  vgpu::Device dev;
+  // The plans' own fine grid and bins for this problem.
+  const core::Plan<float> shape(dev, 1, t3.N, +1, tol);
+  const spread::GridSpec grid = shape.fine_grid();
+  const auto bins = spread::BinSpec::make(grid, spread::BinSpec::default_size(3));
+  const auto kp = spread::KernelParams<float>::from_width(shape.kernel_width());
+  const auto G = static_cast<std::size_t>(grid.total());
 
-  std::printf("\n--- tiled-writeback ablation: 3D type-1 execute, rand, M=%zu, tol=%g, "
-              "fp32, tile-owned vs atomic writeback ---\n", M, tol);
-  Table t({"method", "writeback", "exec [s]", "spread [s]", "atomics/pt", "merge/pt",
-           "setpts [s]", "cache [s]", "spread spdup"});
+  std::vector<float> xg(M), yg(M), zg(M);
+  for (std::size_t j = 0; j < M; ++j) {
+    xg[j] = spread::fold_rescale(wl.x[j], grid.nf[0]);
+    yg[j] = spread::fold_rescale(wl.y[j], grid.nf[1]);
+    zg[j] = spread::fold_rescale(wl.z[j], grid.nf[2]);
+  }
+  const spread::NuPoints<float> pts{xg.data(), yg.data(), zg.data(), M};
+  spread::DeviceSort sort;
+  Timer tsort;
+  spread::bin_sort<float>(dev, grid, bins, xg.data(), yg.data(), zg.data(), M, sort);
+  const double sort_s = tsort.seconds();
+
+  std::printf("\n--- tiled-writeback ablation: 3D spread, rand, M=%zu, tol=%g, fp32, "
+              "tile-owned vs atomic writeback ---\n", M, tol);
+  Table t({"method", "writeback", "spread [s]", "atomics/pt", "merge/pt", "cache [s]",
+           "spread spdup"});
+  vgpu::device_buffer<std::complex<float>> fw(dev, G);
   for (core::Method method : {core::Method::SM, core::Method::GMSort}) {
-    double base_exec = 0, base_spread = 0;
-    for (int tiled : {0, 1}) {
-      vgpu::Device dev;
-      core::Options opts;
-      opts.method = method;
-      opts.tiled_spread = tiled;
-      double setpts_s, exec_s, spread_s;
-      int tiled_ran = 0;
-      std::uint64_t atomics = 0, merges = 0;
-      std::size_t tiles_active = 0;
-      try {
-        core::Plan<float> plan(dev, 1, N, +1, tol, opts);
-        Timer ts;
-        plan.set_points(M, wl.x.data(), wl.y.data(), wl.z.data());
-        setpts_s = ts.seconds();
-        std::tie(exec_s, spread_s) =
-            time_exec_best(plan, [&] { plan.execute(c.data(), f.data()); }, reps);
-        dev.counters.reset();
-        plan.execute(c.data(), f.data());
-        atomics = dev.counters.global_atomics.load();
-        merges = dev.counters.tile_merge_ops.load();
-        tiled_ran = plan.last_breakdown().tiled;
-        tiles_active = plan.last_breakdown().tiles_active;
-        if (!tiled) {
-          base_exec = exec_s;
-          base_spread = spread_s;
-        }
-        const auto& bd = plan.last_breakdown();
-        t.add_row({core::method_name(method), tiled ? "tiled" : "atomic",
-                   Table::fmt(exec_s, 3), Table::fmt(spread_s, 3),
-                   Table::fmt(double(atomics) / double(M), 1),
-                   Table::fmt(double(merges) / double(M), 1),
-                   Table::fmt(setpts_s, 3), Table::fmt(bd.cache_build, 3),
-                   Table::fmt(base_spread / spread_s, 2) + "x"});
-        // Determinism: the tiled pipeline must be bitwise-identical across
-        // worker counts (the atomic baseline is not — float atomics
-        // reassociate with scheduling). Compared at explicit worker counts
-        // 1 vs 2 so the check is meaningful regardless of the host's core
-        // count (the timing device above uses all cores).
-        bool bitwise = true;
-        if (tiled) {
-          std::vector<std::complex<float>> f1(ntot), f2(ntot);
-          for (auto [wks, fp] : {std::pair<std::size_t, std::complex<float>*>{1, f1.data()},
-                                 {2, f2.data()}}) {
-            vgpu::Device devw(wks);
-            core::Plan<float> planw(devw, 1, N, +1, tol, opts);
-            planw.set_points(M, wl.x.data(), wl.y.data(), wl.z.data());
-            planw.execute(c.data(), fp);
-            // The claim is about the tile engine; a silent atomic fallback
-            // must not be recorded as a tiled-determinism result.
-            bitwise = bitwise && planw.last_breakdown().tiled == 1;
-          }
-          for (std::size_t i = 0; i < ntot && bitwise; ++i)
-            bitwise = f1[i] == f2[i];
-        }
-        auto& rec = json.add();
-        rec.field("bench", "tiled3d")
-            .field("dist", "rand")
-            .field("dim", 3)
-            .field("M", M)
-            .field("tol", tol)
-            .field("method", core::method_name(method))
-            .field("path", tiled ? "tiled" : "atomic")
-            .field("tiled_active", static_cast<std::int64_t>(tiled_ran))
-            .field("tiles", tiles_active)
-            .field("exec_s", exec_s)
-            .field("spread_s", spread_s)
-            .field("setpts_s", setpts_s)
-            .field("cache_build_s", bd.cache_build)
-            .field("sort_s", bd.sort)
-            .field("pts_per_s", double(M) / exec_s)
-            .field("global_atomics", atomics)
-            .field("atomics_per_pt", double(atomics) / double(M))
-            .field("tile_merge_ops", merges)
-            .field("spread_speedup_vs_atomic", base_spread / spread_s)
-            .field("exec_speedup_vs_atomic", base_exec / exec_s);
-        if (tiled)
-          rec.field("tile_chunks", bd.tile_chunks)
-              .field("max_tile_points", bd.max_tile_points)
-              .field("chunk_steals", bd.chunk_steals)
-              .field("bitwise_across_workers", static_cast<std::int64_t>(bitwise));
-      } catch (const std::invalid_argument& e) {
-        std::printf("%s unavailable (%s); skipping.\n", core::method_name(method),
-                    e.what());
-        break;
+    const bool sm = method == core::Method::SM;
+    if (sm && !spread::sm_fits<float>(dev, grid, bins, kp.w)) {
+      std::printf("SM does not fit shared memory at w=%d; skipping.\n", kp.w);
+      continue;
+    }
+    // Point-dependent setup: SM's tap table feeds both writebacks; the atomic
+    // side adds the subproblems (SM) or the interior partition (GM-sort).
+    Timer tc;
+    spread::TapTable<float> taps;
+    if (sm) spread::build_tap_table(dev, 3, kp, pts, sort.order.data(), taps);
+    const double taps_s = tc.seconds();
+    tc.reset();
+    spread::SubprobSetup subs;
+    spread::InteriorPartition part;
+    if (sm)
+      subs = spread::build_subproblems(dev, sort, 1024);
+    else
+      spread::classify_interior(dev, grid, kp, pts, sort.order.data(), part);
+    const double atomic_cache_s = taps_s + tc.seconds();
+    tc.reset();
+    spread::TileSet<float> tiles;
+    spread::build_tile_set(dev, grid, bins, kp.w, sort, 1, spread::kTileArenaMaxBytes,
+                           tiles);
+    const double tiled_cache_s = taps_s + tc.seconds();
+    if (!tiles.usable) {
+      std::printf("%s: tile gate declined this geometry; skipping.\n",
+                  core::method_name(method));
+      continue;
+    }
+    const spread::TapTable<float>* tiled_taps = sm ? &taps : nullptr;
+
+    std::uint64_t steals = 0;
+    auto spread_atomic = [&] {
+      vgpu::fill(dev, fw.span(), std::complex<float>(0, 0));
+      if (sm) {
+        spread::spread_sm_batch<float>(dev, grid, bins, kp, pts, wl.c.data(), fw.data(),
+                                       sort, subs, 1024, taps, 1, M, G);
+      } else {
+        auto ipts = pts;
+        ipts.n_nowrap = part.n_interior;
+        spread::spread_gm_batch<float>(dev, grid, kp, ipts, wl.c.data(), fw.data(),
+                                       part.order.data(), 1, M, G);
       }
+    };
+    auto spread_tiled = [&] {
+      vgpu::fill(dev, fw.span(), std::complex<float>(0, 0));
+      steals = spread::spread_tiled_batch<float>(dev, grid, bins, kp, pts, wl.c.data(),
+                                                 fw.data(), sort, tiles, tiled_taps, 1,
+                                                 M, G);
+    };
+
+    // Determinism: the tiled writeback must be bitwise-identical across
+    // worker counts (the atomic one is not — float atomics reassociate with
+    // scheduling). Compared at explicit worker counts 1 vs 2 so the check is
+    // meaningful regardless of the host's core count.
+    bool bitwise = true;
+    std::vector<std::complex<float>> f1(G), f2(G);
+    for (auto [wks, fp] : {std::pair<std::size_t, std::complex<float>*>{1, f1.data()},
+                           {2, f2.data()}}) {
+      vgpu::Device devw(wks);
+      spread::TileSet<float> tw;
+      spread::build_tile_set(devw, grid, bins, kp.w, sort, 1, spread::kTileArenaMaxBytes,
+                             tw);
+      spread::spread_tiled_batch<float>(devw, grid, bins, kp, pts, wl.c.data(), fp, sort,
+                                        tw, tiled_taps, 1, M, G);
+      bitwise = bitwise && tw.usable;
+    }
+    for (std::size_t i = 0; i < G && bitwise; ++i) bitwise = f1[i] == f2[i];
+
+    double base_spread = 0;
+    for (int tiled : {0, 1}) {
+      const double spread_s =
+          tiled ? time_best(spread_tiled, reps) : time_best(spread_atomic, reps);
+      dev.counters.reset();
+      tiled ? spread_tiled() : spread_atomic();
+      const std::uint64_t atomics = dev.counters.global_atomics.load();
+      const std::uint64_t merges = dev.counters.tile_merge_ops.load();
+      if (!tiled) base_spread = spread_s;
+      const double cache_s = tiled ? tiled_cache_s : atomic_cache_s;
+      t.add_row({core::method_name(method), tiled ? "tiled" : "atomic",
+                 Table::fmt(spread_s, 3), Table::fmt(double(atomics) / double(M), 1),
+                 Table::fmt(double(merges) / double(M), 1), Table::fmt(cache_s, 3),
+                 Table::fmt(base_spread / spread_s, 2) + "x"});
+      auto& rec = json.add();
+      rec.field("bench", "tiled3d")
+          .field("dist", "rand")
+          .field("dim", 3)
+          .field("M", M)
+          .field("tol", tol)
+          .field("method", core::method_name(method))
+          .field("path", tiled ? "tiled" : "atomic")
+          .field("tiles", static_cast<std::size_t>(tiles.n_active))
+          .field("spread_s", spread_s)
+          .field("cache_build_s", cache_s)
+          .field("sort_s", sort_s)
+          .field("pts_per_s", double(M) / spread_s)
+          .field("global_atomics", atomics)
+          .field("atomics_per_pt", double(atomics) / double(M))
+          .field("tile_merge_ops", merges)
+          .field("spread_speedup_vs_atomic", base_spread / spread_s);
+      if (tiled)
+        rec.field("tile_chunks", static_cast<std::size_t>(tiles.n_chunks))
+            .field("max_tile_points", static_cast<std::size_t>(tiles.max_tile_points))
+            .field("chunk_steals", steals)
+            .field("bitwise_across_workers", static_cast<std::int64_t>(bitwise));
     }
   }
   t.print();
@@ -717,56 +696,6 @@ void run_sigma(vgpu::Device& dev, const Tracked3d& t3, std::size_t M, int reps,
   t.print();
 }
 
-/// Interior-fastpath ablation: 3D GM-sort type-1 execute (the method whose
-/// spread takes the wrap-around index path per tap) with the plan's
-/// interior/boundary classification on vs off. At rho ~= 1 nearly all points
-/// are interior, so this isolates the no-wrap indexing win.
-void run_interior(vgpu::Device& dev, const Tracked3d& t3, std::size_t M, int reps,
-                  bench::JsonReport& json) {
-  const double tol = 1e-6;
-  const auto& [N, ntot, wl] = t3;
-  auto c = wl.c;  // execute takes a mutable strengths pointer
-  std::vector<std::complex<float>> f(ntot);
-
-  std::printf("\n--- interior-fastpath ablation: 3D GM-sort type-1 execute, rand, "
-              "M=%zu, tol=%g, fp32 ---\n", M, tol);
-  Table t({"interior fastpath", "exec [s]", "spread [s]", "interior pts", "spdup"});
-  double base_exec = 0, base_spread = 0;
-  for (int on : {0, 1}) {
-    core::Options opts;
-    opts.method = core::Method::GMSort;
-    opts.interior_fastpath = on;
-    // Pin the atomic writeback: the tiled engine never wraps, so the
-    // interior partition only matters on the atomic path this isolates.
-    opts.tiled_spread = 0;
-    core::Plan<float> plan(dev, 1, N, +1, tol, opts);
-    plan.set_points(M, wl.x.data(), wl.y.data(), wl.z.data());
-    const auto [exec_s, spread_s] =
-        time_exec_best(plan, [&] { plan.execute(c.data(), f.data()); }, reps);
-    if (!on) {
-      base_exec = exec_s;
-      base_spread = spread_s;
-    }
-    t.add_row({on ? "on" : "off", Table::fmt(exec_s, 3), Table::fmt(spread_s, 3),
-               std::to_string(plan.last_breakdown().interior_points),
-               Table::fmt(base_spread / spread_s, 2) + "x"});
-    auto& rec = json.add();
-    rec.field("bench", "interior3d")
-        .field("dist", "rand")
-        .field("dim", 3)
-        .field("M", M)
-        .field("tol", tol)
-        .field("method", "GM-sort")
-        .field("path", on ? "interior-on" : "interior-off")
-        .field("exec_s", exec_s)
-        .field("spread_s", spread_s)
-        .field("pts_per_s", double(M) / exec_s)
-        .field("spread_speedup_vs_wrap", base_spread / spread_s)
-        .field("exec_speedup_vs_wrap", base_exec / exec_s);
-  }
-  t.print();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -796,11 +725,9 @@ int main(int argc, char** argv) {
   // bench the same points.
   const Tracked3d tracked = make_tracked3d(mfast);
   run_batch(dev, tracked, mfast, reps, json);
-  run_repeat(dev, tracked, mfast, reps, json);
   run_sigma(dev, tracked, mfast, reps, json);
   run_tiled(tracked, mfast, reps, json);
   run_tiled_cluster(tracked, mfast, reps, json);
-  run_interior(dev, tracked, mfast, reps, json);
   run_workers(tracked, mfast, reps, json);
 
   if (json.write(json_path))

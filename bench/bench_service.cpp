@@ -15,8 +15,9 @@
 //                        and coalesced into batched executes under the FIXED
 //                        20 ms window (steady state: the plan and point
 //                        fingerprint are already resident, and the service
-//                        plan runs point_cache = 2 — the plan-resident
-//                        GM-sort tap table — with bitwise-identical output).
+//                        plan — built with ntransf = max_batch > 1 — keeps
+//                        its GM-sort tap table from set_points, with
+//                        bitwise-identical output).
 //                        Fixed window keeps this tracked metric comparable
 //                        across PRs;
 //   service-8x-adaptive  the same round under the adaptive window (closes

@@ -39,7 +39,10 @@ enum {
   CFS_METHOD_SM = 3       /* shared-memory subproblems (type 1 only) */
 };
 
-/* Tunable options; zero-initialize then override (cufinufft_default_opts). */
+/* Tunable options; zero-initialize then override (cufinufft_default_opts).
+ * Every plan runs one spread pipeline (width-specialized kernels, tile-owned
+ * atomic-free type-1 writeback with an atomic fallback, interior-first
+ * no-wrap partition); there are no per-plan switches for its stages. */
 typedef struct {
   int gpu_method;        /* CFS_METHOD_* */
   int gpu_maxsubprobsize; /* Msub; 0 = 1024 */
@@ -47,19 +50,6 @@ typedef struct {
   int ntransf;            /* stacked vectors per execute; 0 = 1 */
   int gpu_kerevalmeth;    /* 0 = direct exp/sqrt, 1 = Horner table */
   int modeord;            /* 0 = CMCL (-N/2..N/2-1), 1 = FFT-style */
-  int gpu_fastpath;       /* 0 = default (width-specialized SIMD kernels),
-                             -1 = runtime-width scalar fallback */
-  int gpu_packed_atomics; /* 1 = packed 8-byte CAS for complex<float>
-                             writeback; 0 = two float atomic adds (default) */
-  int gpu_point_cache;    /* 0 = default (plan-resident tap table built in
-                             setpts), 2 = also cache taps for the tiled
-                             GM-sort spread (throughput mode; the service
-                             layer's plans use it), -1 = rebuild per execute */
-  int gpu_interior_fastpath; /* 0 = default (interior-first no-wrap partition
-                                for GM/GM-sort), -1 = always wrap */
-  int gpu_tiled_spread;   /* 0 = default (tile-owned atomic-free spread
-                             writeback with deterministic halo merge),
-                             -1 = atomic writeback */
   int gpu_tile_chunk_cap; /* tiled-spread chunk cap (points per work item):
                              0 = auto (points-per-worker heuristic; the
                              CF_TILE_CHUNK env var overrides the auto value),

@@ -1,6 +1,5 @@
 #include "core/plan.hpp"
 
-#include <cstdlib>
 #include <stdexcept>
 
 #include "common/timer.hpp"
@@ -66,8 +65,6 @@ Plan<T>::Plan(vgpu::Device& dev, int type, std::span<const std::int64_t> nmodes,
   for (std::size_t d = 0; d < nmodes.size(); ++d) N_[d] = nmodes[d];
   grid_ = make_grid<T>(nmodes, opts_.upsampfac, kp_.w);
 
-  kp_.fast = opts_.fastpath != 0;
-  kp_.packed = opts_.packed_atomics != 0;
   if (opts_.kerevalmeth == 1)
     spread::horner_cache<T>(kp_.w, opts_.upsampfac).attach(kp_);
 
@@ -117,17 +114,13 @@ spread::NuPoints<T> Plan<T>::nu_points() const {
                              grid_.dim >= 3 ? zg_.data() : nullptr, M_};
 }
 
-// Iteration order + no-wrap prefix for the per-point GM/GM-sort kernels:
-// the interior-first partition when built, else the plain sort permutation
-// (GM-sort) or user order (GM) with every point on the wrap path.
+// Iteration order + no-wrap prefix for the per-point GM/GM-sort kernels: the
+// interior-first partition of the sort permutation (GM-sort) or of user order
+// (GM), which set_points builds for every plan these kernels serve.
 template <typename T>
 const std::uint32_t* Plan<T>::iter_order(std::size_t& n_nowrap) const {
-  if (cache_.valid && !cache_.interior.empty()) {
-    n_nowrap = cache_.interior.n_interior;
-    return cache_.interior.order.data();
-  }
-  n_nowrap = 0;
-  return method_ == Method::GM ? nullptr : sort_.order.data();
+  n_nowrap = cache_.interior.n_interior;
+  return cache_.interior.order.data();
 }
 
 template <typename T>
@@ -157,36 +150,22 @@ void Plan<T>::set_points(std::size_t M, const T* x, const T* y, const T* z) {
 
   // Plan-resident PointCache: everything that depends on the points but not
   // the strengths is paid here, once, and amortized over repeated executes.
-  // The parts toggle independently: point_cache gates only the SM tap table
-  // (its 0 setting is the per-execute-rebuild ablation baseline);
-  // interior_fastpath gates only the interior-first partition; tiled_spread
-  // gates the tile-ownership set of the atomic-free writeback.
   Timer tc;
   if (M_ > 0) {
     spread::NuPoints<T> pts{xg_.data(), dim >= 2 ? yg_.data() : nullptr,
                             dim >= 3 ? zg_.data() : nullptr, M_};
     const std::uint32_t* order = need_sort_ ? sort_.order.data() : nullptr;
-    if (opts_.tiled_spread && type_ == 1 &&
-        (method_ == Method::SM || method_ == Method::GMSort)) {
-      // Chunk cap: explicit option wins; at the 0 (auto) setting the
-      // CF_TILE_CHUNK env var can force a cap (CI runs the suite with
-      // CF_TILE_CHUNK=1 to exercise maximal splitting everywhere).
-      int chunk_cap = opts_.tile_chunk_cap;
-      if (chunk_cap == 0)
-        if (const char* e = std::getenv("CF_TILE_CHUNK"); e && *e)
-          chunk_cap = std::atoi(e);
+    if (type_ == 1 && need_sort_)
       spread::build_tile_set(*dev_, grid_, bins_, kp_.w, sort_,
                              std::max(1, opts_.ntransf), spread::kTileArenaMaxBytes,
-                             cache_.tiles, chunk_cap);
-    }
-    // SM always consumes a tap table, so point_cache >= 1 persists it. The
-    // tiled GM-sort engine can stream the same table instead of evaluating
-    // taps inline (bitwise-identical either way — see spread_tiled.cpp);
-    // point_cache = 2 opts into that SM-memory-profile throughput mode
-    // (the service layer's batched plans), closing the per-execute
-    // evaluation cost that batching otherwise only amortizes per chunk.
-    if ((opts_.point_cache && method_ == Method::SM) ||
-        (opts_.point_cache > 1 && method_ == Method::GMSort && type_ == 1 &&
+                             cache_.tiles, spread::tile_chunk_cap(opts_.tile_chunk_cap));
+    // SM always consumes a tap table. The tiled GM-sort engine can stream
+    // the same table instead of evaluating taps inline (bitwise-identical
+    // either way — see spread_tiled.cpp); a batched plan (ntransf > 1, e.g.
+    // the service layer's) keeps it, trading SM's memory profile for the
+    // per-execute evaluation cost that batching only amortizes per chunk.
+    if (method_ == Method::SM ||
+        (method_ == Method::GMSort && type_ == 1 && opts_.ntransf > 1 &&
          cache_.tiles.usable)) {
       spread::build_tap_table(*dev_, grid_.dim, kp_, pts, order, cache_.taps);
       ++tap_builds_;
@@ -196,7 +175,7 @@ void Plan<T>::set_points(std::size_t M, const T* x, const T* y, const T* z) {
     // work, so skip it — interior_points then reads 0 for such plans. The
     // SM subproblem decomposition is gated the same way: the tile engine
     // works per bin, so subproblems only matter on the atomic fallback.
-    if (opts_.interior_fastpath && method_ != Method::SM && !cache_.tiles.usable)
+    if (method_ != Method::SM && !cache_.tiles.usable)
       spread::classify_interior(*dev_, grid_, kp_, pts, order, cache_.interior);
     if (method_ == Method::SM && !cache_.tiles.usable)
       subs_ = spread::build_subproblems(*dev_, sort_, opts_.msub);
@@ -238,8 +217,7 @@ void Plan<T>::spread_step(const cplx* c, int B, Breakdown& bd) {
     case Method::GMSort:
       if (cache_.tiles.usable) {
         // Tile-owned writeback; taps evaluated inline (same values as the
-        // table, see spread_tiled.cpp) so GM-sort keeps its memory profile,
-        // unless point_cache = 2 persisted the table in set_points.
+        // table, see spread_tiled.cpp) unless set_points kept the table.
         bd.chunk_steals = spread::spread_tiled_batch<T>(
             *dev_, grid_, bins_, kp_, pts, c, fw_.data(), sort_, cache_.tiles,
             cache_.taps.empty() ? nullptr : &cache_.taps, B, M_, fwstride);
@@ -252,29 +230,17 @@ void Plan<T>::spread_step(const cplx* c, int B, Breakdown& bd) {
                                    fwstride);
       }
       break;
-    case Method::SM: {
-      // SM always consumes a tap table; the per-execute rebuild is the
-      // Options::point_cache == 0 ablation baseline (the pre-cache
-      // pipeline's cost model), bitwise-identical to the cached table.
-      spread::TapTable<T> transient;
-      const spread::TapTable<T>* taps = &cache_.taps;
-      if (cache_.taps.empty()) {
-        spread::build_tap_table(*dev_, grid_.dim, kp_, pts, sort_.order.data(),
-                                transient);
-        ++tap_builds_;
-        taps = &transient;
-      }
+    case Method::SM:
       if (cache_.tiles.usable) {
         bd.chunk_steals = spread::spread_tiled_batch<T>(
-            *dev_, grid_, bins_, kp_, pts, c, fw_.data(), sort_, cache_.tiles, taps, B,
-            M_, fwstride);
+            *dev_, grid_, bins_, kp_, pts, c, fw_.data(), sort_, cache_.tiles,
+            &cache_.taps, B, M_, fwstride);
         bd.tiled = 1;
       } else {
         spread::spread_sm_batch<T>(*dev_, grid_, bins_, kp_, pts, c, fw_.data(), sort_,
-                                   subs_, opts_.msub, *taps, B, M_, fwstride);
+                                   subs_, opts_.msub, cache_.taps, B, M_, fwstride);
       }
       break;
-    }
     default:
       throw std::logic_error("unresolved method");
   }

@@ -19,10 +19,11 @@
 // bin-sort, the SM tap table, the interior-first iteration partition, and
 // the tile-ownership set of the atomic-free spread writeback — lives in a
 // plan-resident PointCache built by set_points and reused by every execute
-// (the paper's setpts amortization argument). With the default
-// Options::tiled_spread, type-1 SM and GM-sort spreading performs ZERO
-// global atomics and the whole execute is bitwise-deterministic at any
-// worker count.
+// (the paper's setpts amortization argument). Each plan runs one spread
+// pipeline: type-1 SM and GM-sort spreading uses the tile-owned writeback
+// (ZERO global atomics; the whole execute is bitwise-deterministic at any
+// worker count) and falls back to atomics only when the tile geometry gate
+// or arena cap fails; GM is the atomic baseline by definition.
 //
 // Usage:
 //   vgpu::Device dev;
@@ -66,29 +67,11 @@ struct Options {
   double upsampfac = 2.0;               ///< fine-grid sigma: 2.0 (paper) or 1.25
                                         ///< (low-upsampling: ~2x 3D volume
                                         ///< instead of 8x, wider kernel)
-  int ntransf = 1;  ///< vectors per execute (cuFINUFFT's many-vector batching)
+  int ntransf = 1;  ///< vectors per execute (cuFINUFFT's many-vector batching);
+                    ///< > 1 also keeps a tap table for the tiled GM-sort
+                    ///< type-1 spread (see Plan::set_points)
   int kerevalmeth = 0;  ///< 0 = direct exp/sqrt; 1 = piecewise-poly Horner
   int modeord = 0;  ///< 0 = CMCL (-N/2..N/2-1); 1 = FFT-style (0..,-N/2..-1)
-  int fastpath = 1;  ///< 1 = width-specialized SIMD kernels; 0 = runtime-w scalar
-  int packed_atomics = 0;  ///< 1 = single 8-byte CAS per complex<float> global
-                           ///< writeback (two-float atomic adds otherwise)
-  int point_cache = 1;     ///< 1 = build the SM tap table once in set_points;
-                           ///< 2 = ALSO cache the tap table for the tiled
-                           ///< GM-sort spread (instead of re-evaluating taps
-                           ///< inline every execute) — SM's memory profile
-                           ///< traded for repeat/batch throughput; the
-                           ///< service layer's batched plans run this mode.
-                           ///< Bitwise-identical output in every mode.
-                           ///< 0 = rebuild per execute (ablation baseline)
-  int interior_fastpath = 1;  ///< 1 = interior-first iteration partition with
-                              ///< branch-free no-wrap indexing in GM/GM-sort
-                              ///< spread and interp; 0 = always wrap
-  int tiled_spread = 1;  ///< 1 = tile-owned atomic-free spread writeback with
-                         ///< deterministic halo merge for SM and GM-sort type 1
-                         ///< (zero global atomics; output bitwise-identical at
-                         ///< any worker count); 0 = atomic writeback (ablation
-                         ///< baseline). Falls back to atomics automatically
-                         ///< when the tile geometry gate or arena cap fails.
   int tile_chunk_cap = 0;  ///< tiled-spread chunk cap (points per work item):
                            ///< 0 = auto (points-per-worker heuristic; the
                            ///< CF_TILE_CHUNK env var overrides the auto value),
@@ -116,7 +99,7 @@ struct Breakdown {
   double fft = 0;         ///< step 2 (for type 2 includes the fused amplify)
   double deconvolve = 0;  ///< type-1 step 3 (type-2 amplify is fused into fft)
   double interp = 0;      ///< type-2 step 3
-  std::uint64_t tap_builds = 0;   ///< lifetime SM tap-table constructions
+  std::uint64_t tap_builds = 0;   ///< lifetime tap-table constructions
   std::uint64_t cache_hits = 0;   ///< lifetime executes served by the cache
   std::size_t interior_points = 0;  ///< no-wrap-classified points (last set_points)
   std::size_t boundary_points = 0;  ///< wrap-path points (last set_points)
@@ -169,8 +152,8 @@ class Plan {
 
   /// Registers M nonuniform points (device pointers; y/z null for dim<2/3).
   /// Performs fold-rescale, the GM-sort/SM bin-sort, and the PointCache build
-  /// (SM tap table, interior classification) whose cost is amortized over
-  /// repeated execute() calls. Invalidates any previous PointCache.
+  /// (tile set, tap table, interior classification) whose cost is amortized
+  /// over repeated execute() calls. Invalidates any previous PointCache.
   void set_points(std::size_t M, const T* x, const T* y, const T* z);
 
   /// Runs the transform: type 1 reads c (length M) and writes f (modes);

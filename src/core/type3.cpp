@@ -40,8 +40,6 @@ Type3Plan<T>::Type3Plan(vgpu::Device& dev, int dim, int iflag, double tol, Optio
   if (dim < 1 || dim > 3) throw std::invalid_argument("Type3Plan: dim must be 1..3");
   if (opts_.upsampfac != 2.0 && opts_.upsampfac != 1.25)
     throw std::invalid_argument("Type3Plan: upsampfac must be 2.0 or 1.25");
-  kp_.fast = opts_.fastpath != 0;
-  kp_.packed = opts_.packed_atomics != 0;
   if (opts_.kerevalmeth == 1)
     spread::horner_cache<T>(kp_.w, opts_.upsampfac).attach(kp_);
 }
@@ -188,21 +186,18 @@ void Type3Plan<T>::set_points(std::size_t M, const T* x, const T* y, const T* z,
                            dim_ >= 3 ? zg_.data() : nullptr, M_};
   // Tile-ownership set for the atomic-free source spread (SM and GM-sort).
   src_tiles_ = spread::TileSet<T>{};
-  if (opts_.tiled_spread && (method_ == Method::SM || method_ == Method::GMSort))
+  if (method_ == Method::SM || method_ == Method::GMSort)
     spread::build_tile_set(*dev_, grid_, bins_, kp_.w, src_sort_, 1,
                            spread::kTileArenaMaxBytes, src_tiles_);
   subs_ = spread::SubprobSetup{};
   if (method_ == Method::SM) {
     // Subproblems only matter on the atomic fallback (the tile engine works
     // per bin); the source tap table feeds both writebacks. Paid once here
-    // and reused by every execute (Options::point_cache = 0 keeps the
-    // per-execute-rebuild baseline, same contract as Plan).
+    // and reused by every execute.
     if (!src_tiles_.usable)
       subs_ = spread::build_subproblems(*dev_, src_sort_, opts_.msub);
     src_taps_ = spread::TapTable<T>{};
-    if (opts_.point_cache)
-      spread::build_tap_table(*dev_, dim_, kp_, srcs, src_sort_.order.data(),
-                              src_taps_);
+    spread::build_tap_table(*dev_, dim_, kp_, srcs, src_sort_.order.data(), src_taps_);
   }
   spread::bin_sort(*dev_, grid_, bins_, sg_.data(), dim_ >= 2 ? tg_.data() : nullptr,
                    dim_ >= 3 ? ug_.data() : nullptr, K, trg_sort_);
@@ -213,16 +208,13 @@ void Type3Plan<T>::set_points(std::size_t M, const T* x, const T* y, const T* z,
   // will serve the spread the source partition would be dead work — skip it.
   src_part_ = spread::InteriorPartition{};
   trg_part_ = spread::InteriorPartition{};
-  if (opts_.interior_fastpath && method_ != Method::SM && !src_tiles_.usable)
+  if (method_ != Method::SM && !src_tiles_.usable)
     spread::classify_interior(
         *dev_, grid_, kp_, srcs,
         method_ == Method::GMSort ? src_sort_.order.data() : nullptr, src_part_);
-  if (opts_.interior_fastpath) {
-    spread::NuPoints<T> trgs{sg_.data(), dim_ >= 2 ? tg_.data() : nullptr,
-                             dim_ >= 3 ? ug_.data() : nullptr, K_};
-    spread::classify_interior(*dev_, grid_, kp_, trgs, trg_sort_.order.data(),
-                              trg_part_);
-  }
+  spread::NuPoints<T> trgs{sg_.data(), dim_ >= 2 ? tg_.data() : nullptr,
+                           dim_ >= 3 ? ug_.data() : nullptr, K_};
+  spread::classify_interior(*dev_, grid_, kp_, trgs, trg_sort_.order.data(), trg_part_);
 }
 
 template <typename T>
@@ -237,28 +229,20 @@ void Type3Plan<T>::execute(cplx* c, cplx* f) {
   spread::NuPoints<T> pts{xg_.data(), dim_ >= 2 ? yg_.data() : nullptr,
                           dim_ >= 3 ? zg_.data() : nullptr, M_};
   vgpu::fill(*dev_, fw_.span(), cplx(0, 0));
-  if (src_tiles_.usable && (method_ == Method::SM || method_ == Method::GMSort)) {
+  if (src_tiles_.usable) {
     // Tile-owned atomic-free writeback; SM streams its cached taps, GM-sort
     // evaluates inline (bitwise-identical values either way).
     spread::spread_tiled_batch<T>(*dev_, grid_, bins_, kp_, pts, chat_.data(),
                                   fw_.data(), src_sort_, src_tiles_,
                                   src_taps_.empty() ? nullptr : &src_taps_, 1, 0, 0);
   } else if (method_ == Method::SM) {
-    if (src_taps_.empty())  // point_cache = 0: transient table per execute
-      spread::spread_sm<T>(*dev_, grid_, bins_, kp_, pts, chat_.data(), fw_.data(),
-                           src_sort_, subs_, opts_.msub);
-    else
-      spread::spread_sm<T>(*dev_, grid_, bins_, kp_, pts, chat_.data(), fw_.data(),
-                           src_sort_, subs_, opts_.msub, src_taps_);
+    spread::spread_sm<T>(*dev_, grid_, bins_, kp_, pts, chat_.data(), fw_.data(),
+                         src_sort_, subs_, opts_.msub, src_taps_);
   } else {
-    const std::uint32_t* order = method_ == Method::GMSort
-                                     ? src_sort_.order.data()
-                                     : nullptr;
-    if (!src_part_.empty()) {  // interior-first partition (no-wrap fast path)
-      order = src_part_.order.data();
-      pts.n_nowrap = src_part_.n_interior;
-    }
-    spread::spread_gm<T>(*dev_, grid_, kp_, pts, chat_.data(), fw_.data(), order);
+    // GM / untiled GM-sort: interior-first partition (no-wrap fast path).
+    pts.n_nowrap = src_part_.n_interior;
+    spread::spread_gm<T>(*dev_, grid_, kp_, pts, chat_.data(), fw_.data(),
+                         src_part_.order.data());
   }
   fft_->exec(fw_.data(), iflag_);
 
@@ -282,12 +266,8 @@ void Type3Plan<T>::execute(cplx* c, cplx* f) {
   // 3. Interpolate H at the scaled targets, then apply the target phases.
   spread::NuPoints<T> trg{sg_.data(), dim_ >= 2 ? tg_.data() : nullptr,
                           dim_ >= 3 ? ug_.data() : nullptr, K_};
-  const std::uint32_t* trg_order = trg_sort_.order.data();
-  if (!trg_part_.empty()) {  // interior-first partition (no-wrap fast path)
-    trg_order = trg_part_.order.data();
-    trg.n_nowrap = trg_part_.n_interior;
-  }
-  spread::interp<T>(*dev_, grid_, kp_, trg, hgrid_.data(), f, trg_order);
+  trg.n_nowrap = trg_part_.n_interior;  // interior-first partition (no-wrap)
+  spread::interp<T>(*dev_, grid_, kp_, trg, hgrid_.data(), f, trg_part_.order.data());
   dev_->launch_items(K_, 256, [&](std::size_t k, vgpu::BlockCtx&) {
     f[k] *= trg_phase_[k];
   });

@@ -97,7 +97,7 @@ class Type3Plan {
   /// ROADMAP "wire NuPoints interior through type 3" follow-up).
   spread::InteriorPartition src_part_, trg_part_;
   /// Tile-ownership set for the atomic-free source spread (same gates and
-  /// semantics as Plan's Options::tiled_spread).
+  /// semantics as Plan's type-1 tiled writeback).
   spread::TileSet<T> src_tiles_;
 };
 

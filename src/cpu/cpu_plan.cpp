@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <stdexcept>
 #include <thread>
 
@@ -143,7 +142,7 @@ void CpuPlan<T>::build_tile_cache() {
   chunk_sched_.clear();
   split_tile_.clear();
   chunk_arena_.clear();
-  if (!opts_.tiled_spread || type_ != 1) return;  // spread-only machinery
+  if (type_ != 1) return;  // spread-only machinery
   const int pad = (kp_.w + 1) / 2;
   std::size_t padded = 1;
   for (int d = 0; d < grid_.dim; ++d) {
@@ -176,9 +175,7 @@ void CpuPlan<T>::build_tile_cache() {
   // pure functions of the points — never of the pool size — so the summation
   // split (and with it the output bits) is identical at every pool size.
   std::uint32_t cap;
-  int req = opts_.tile_chunk_cap;
-  if (req == 0)
-    if (const char* e = std::getenv("CF_TILE_CHUNK"); e && *e) req = std::atoi(e);
+  const int req = spread::tile_chunk_cap(opts_.tile_chunk_cap);
   if (req < 0) {
     cap = 0xffffffffu;
   } else if (req > 0) {

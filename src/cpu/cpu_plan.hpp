@@ -4,11 +4,11 @@
 // deconvolution as the device library, but organized the way the parallel
 // CPU code is: bin-sorted
 // points are spread in subproblems into thread-local padded-bin buffers that
-// are merged into the fine grid — by default with the same tile-owned
-// atomic-free core/halo scheme as the device library (deterministic at any
-// pool size), with FINUFFT's atomic padded-bin merge as the
-// Options::tiled_spread = 0 fallback; interpolation is a plain parallel
-// gather over sorted points; the FFT runs on the host pool.
+// are merged into the fine grid with the same tile-owned atomic-free
+// core/halo scheme as the device library (deterministic at any pool size),
+// falling back to FINUFFT's atomic padded-bin merge only when the tile
+// geometry gate or arena cap fails; interpolation is a plain parallel gather
+// over sorted points; the FFT runs on the host pool.
 //
 // Mirrors the device library's stage-pipeline shape: every stage is
 // batch-strided (ntransf = B stacked vectors, weights evaluated once per
@@ -56,11 +56,6 @@ class CpuPlan {
     int ntransf = 1;                      ///< stacked vectors per execute
     int modeord = 0;                      ///< 0 = CMCL (-N/2..), 1 = FFT-style
     int kerevalmeth = 0;                  ///< 0 = exp/sqrt; 1 = Horner table
-    int tiled_spread = 1;  ///< 1 = tile-owned atomic-free spread merge (same
-                           ///< scheme as the device library: disjoint core
-                           ///< writes + fixed-order halo merge, bitwise-
-                           ///< deterministic at any pool size); 0 = atomic
-                           ///< padded-bin merge (FINUFFT's strategy)
     int tile_chunk_cap = 0;  ///< tiled-spread chunk cap (points per work item),
                              ///< same encoding as the device library: 0 = auto
                              ///< (CF_TILE_CHUNK env override), > 0 = explicit,

@@ -31,19 +31,12 @@ core::Options options_from_key(const PlanKey& key, int max_batch) {
   o.method = static_cast<core::Method>(key.method);
   if (key.msub > 0) o.msub = static_cast<std::uint32_t>(key.msub);
   o.binsize = {key.binsize[0], key.binsize[1], key.binsize[2]};
-  o.ntransf = max_batch;  // batched executes up to the coalescing cap
+  // Batched executes up to the coalescing cap. ntransf > 1 also makes a
+  // tiled GM-sort type-1 plan stream a plan-resident tap table instead of
+  // re-evaluating taps every execute (bitwise-identical output).
+  o.ntransf = max_batch;
   o.kerevalmeth = key.kerevalmeth;
   o.modeord = key.modeord;
-  o.fastpath = key.fastpath;
-  o.packed_atomics = key.packed_atomics;
-  // Service plans serve repeated batched executes, so the default point
-  // cache is promoted to the aggressive mode (2): the tiled GM-sort spread
-  // streams a plan-resident tap table instead of re-evaluating taps every
-  // execute. Output is bitwise-identical; an explicit 0 (the ablation
-  // baseline) is honored.
-  o.point_cache = key.point_cache ? 2 : 0;
-  o.interior_fastpath = key.interior_fastpath;
-  o.tiled_spread = key.tiled_spread;
   o.tile_chunk_cap = key.tile_chunk_cap;
   o.upsampfac = key.upsampfac;
   return o;
@@ -104,7 +97,6 @@ class CpuBackendPlan final : public TypedPlan<T> {
     o.ntransf = max_batch;
     o.modeord = key.modeord;
     o.kerevalmeth = key.kerevalmeth;
-    o.tiled_spread = key.tiled_spread;
     o.tile_chunk_cap = key.tile_chunk_cap;
     o.upsampfac = key.upsampfac;
     return o;
@@ -166,11 +158,6 @@ PlanKey make_plan_key(Backend backend, int type, int dim, const std::int64_t* nm
   k.binsize[2] = opts.binsize[2];
   k.kerevalmeth = opts.kerevalmeth;
   k.modeord = opts.modeord;
-  k.fastpath = opts.fastpath;
-  k.packed_atomics = opts.packed_atomics;
-  k.point_cache = opts.point_cache;
-  k.interior_fastpath = opts.interior_fastpath;
-  k.tiled_spread = opts.tiled_spread;
   k.tile_chunk_cap = opts.tile_chunk_cap;
   // Unset (<= 0) folds to the default sigma so a zero-initialized options
   // struct lands on the same plan as an explicit 2.0.
@@ -184,16 +171,12 @@ PlanKey make_plan_key(Backend backend, int type, int dim, const std::int64_t* nm
     k.modeord = 0;
   }
   if (backend == Backend::Cpu) {
-    // CpuBackendPlan::cpu_options consumes none of these device-only knobs,
-    // so under Backend::Cpu they are dead signature bits: two requests
+    // CpuBackendPlan::cpu_options does not consume the device-only method,
+    // so under Backend::Cpu it is a dead signature bit: two requests
     // differing only here would build two registry entries that serve
     // byte-identical transforms yet never coalesce (and double-pay plan
-    // construction and set_points). Normalize them to the field defaults.
+    // construction and set_points). Normalize it to the field default.
     k.method = 0;
-    k.fastpath = 1;
-    k.packed_atomics = 0;
-    k.point_cache = 1;
-    k.interior_fastpath = 1;
   }
   return k;
 }
@@ -213,11 +196,6 @@ std::size_t PlanKeyHash::operator()(const PlanKey& k) const {
   h = fnv1a(h, k.binsize, sizeof(k.binsize));
   h = fnv1a_value(h, k.kerevalmeth);
   h = fnv1a_value(h, k.modeord);
-  h = fnv1a_value(h, k.fastpath);
-  h = fnv1a_value(h, k.packed_atomics);
-  h = fnv1a_value(h, k.point_cache);
-  h = fnv1a_value(h, k.interior_fastpath);
-  h = fnv1a_value(h, k.tiled_spread);
   h = fnv1a_value(h, k.tile_chunk_cap);
   h = fnv1a_value(h, k.upsampfac);
   return static_cast<std::size_t>(h);

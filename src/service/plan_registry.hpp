@@ -36,10 +36,10 @@ enum class Backend : std::uint8_t { Device = 0, Cpu = 1 };
 /// Transform signature: everything that must match for two requests to share
 /// a plan (and therefore to coalesce into one batched execute). ntransf is
 /// deliberately absent — the service picks the batch size per dispatch.
-/// Fields the chosen backend ignores are NORMALIZED by make_plan_key (e.g.
-/// the device-only fastpath/packed_atomics/point_cache/interior_fastpath
-/// knobs under Backend::Cpu), so option noise a backend cannot observe never
-/// splits otherwise-identical requests into plans that refuse to coalesce.
+/// Fields the chosen backend ignores are NORMALIZED by make_plan_key (the
+/// device-only method under Backend::Cpu), so option noise a backend cannot
+/// observe never splits otherwise-identical requests into plans that refuse
+/// to coalesce.
 struct PlanKey {
   std::uint8_t backend = 0;    ///< Backend enum value
   std::uint8_t precision = 0;  ///< 0 = float, 1 = double
@@ -53,11 +53,6 @@ struct PlanKey {
   std::int32_t binsize[3] = {0, 0, 0};
   std::int32_t kerevalmeth = 0;
   std::int32_t modeord = 0;
-  std::int32_t fastpath = 1;
-  std::int32_t packed_atomics = 0;
-  std::int32_t point_cache = 1;
-  std::int32_t interior_fastpath = 1;
-  std::int32_t tiled_spread = 1;
   std::int32_t tile_chunk_cap = 0;  ///< 0 = auto; caps change tile geometry & bits
   double upsampfac = 2.0;  ///< fine-grid sigma; changes width, grid, and bits,
                            ///< so two sigma values are two plans

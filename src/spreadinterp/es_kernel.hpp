@@ -79,9 +79,6 @@ struct KernelParams {
   /// Allow the width-specialized kernels; false forces the runtime-w scalar
   /// fallback (used by tests and benches to compare the two pipelines).
   bool fast = true;
-  /// Use the packed 8-byte CAS for complex<float> global writeback instead of
-  /// two float atomic adds (Options::packed_atomics). Ignored for double.
-  bool packed = false;
 
   static KernelParams from_width(int width, double sigma = 2.0) {
     // Every kernel buffer (tap values, Horner accumulators) is sized by

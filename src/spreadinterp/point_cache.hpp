@@ -27,7 +27,9 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 
+#include "common/env.hpp"
 #include "spreadinterp/binsort.hpp"
 #include "spreadinterp/es_kernel.hpp"
 #include "spreadinterp/grid.hpp"
@@ -72,8 +74,8 @@ struct InteriorPartition {
   bool empty() const { return order.empty(); }
 };
 
-/// Tile-ownership precomputation for the atomic-free spread writeback
-/// (Options::tiled_spread). `usable` is false when the geometry gate fails
+/// Tile-ownership precomputation for the atomic-free spread writeback of
+/// type-1 SM and GM-sort plans. `usable` is false when the geometry gate fails
 /// (some padded tile extent exceeds nf — e.g. a single bin spanning an axis)
 /// or the halo arena would exceed the byte cap; callers then keep the atomic
 /// writeback.
@@ -155,6 +157,18 @@ inline constexpr std::uint32_t kTileChunkMin = 1024;
 /// worker scratch is budgeted separately) so the applied cap — and with it
 /// the summation split — is identical at every worker count.
 inline constexpr std::size_t kTileChunkArenaMaxBytes = std::size_t(64) << 20;
+
+/// Resolves a plan's requested chunk cap (Options::tile_chunk_cap encoding):
+/// a nonzero request is returned unchanged; at the 0 (auto) setting the
+/// CF_TILE_CHUNK env var can force a cap (CI runs suites with CF_TILE_CHUNK=1
+/// to exercise maximal splitting everywhere). A malformed value gets a
+/// one-line stderr diagnostic and leaves the cap at auto. Shared by the
+/// device plans and the CPU comparator.
+inline int tile_chunk_cap(int requested) {
+  if (requested != 0) return requested;
+  return env_int_strict("CF_TILE_CHUNK", 0, std::numeric_limits<int>::min(),
+                        std::numeric_limits<int>::max());
+}
 
 /// Builds the TileSet for the current bin sort: geometry gate, active-tile
 /// compaction, merge-owner list, the halo arena sized for ntransf = B

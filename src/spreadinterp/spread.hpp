@@ -21,14 +21,17 @@
 // Every entry point dispatches on the kernel width: widths 2..16 (all the
 // tolerance rule can produce) run width-specialized kernels whose tap loops
 // fully unroll and whose shared-memory accumulation is deinterleaved into
-// real/imag FMA streams; other widths — or KernelParams::fast == false —
-// take the runtime-width scalar fallback. Both paths compute the same sums,
-// so results agree to rounding.
+// real/imag FMA streams; other widths take the runtime-width scalar
+// fallback, as does KernelParams::fast == false (which no plan sets: it is
+// the layer-level reference the tests and benches compare against). Both
+// paths compute the same sums, so results agree to rounding.
 //
 // Point-dependent precomputation (point_cache.hpp) plugs in three ways:
 //  * SM/tiled spreading consumes a TapTable (per-point tap values in
-//    bin-sorted order). The plan builds it once in set_points; the table-less
-//    overload builds a transient one for benches/tests.
+//    bin-sorted order). The plan builds it once in set_points (for tiled
+//    GM-sort only when ntransf > 1; otherwise taps are evaluated inline);
+//    the table-less spread_sm overload builds a transient one for
+//    benches/tests.
 //  * The interior-first iteration partition (InteriorPartition) drives the
 //    branch-free no-wrap path of GM/GM-sort spread and interp: the caller
 //    passes the partitioned order plus NuPoints::n_nowrap, and the kernels
@@ -117,7 +120,7 @@ void spread_sm_batch(vgpu::Device& dev, const GridSpec& grid, const BinSpec& bin
                      const TapTable<T>& taps, int B, std::size_t cstride,
                      std::size_t fwstride);
 
-/// Tile-owned atomic-free spread writeback (Options::tiled_spread): one block
+/// Tile-owned atomic-free spread writeback (type-1 SM/GM-sort): one block
 /// per (tile, chunk) work item — scheduled largest-first over the pool's
 /// work-stealing path — accumulates a canonical chunk of the bin's sorted
 /// points into a deinterleaved padded scratch (taps from `taps` when non-null

@@ -1,4 +1,4 @@
-// Tile-owned atomic-free spread writeback (Options::tiled_spread).
+// Tile-owned atomic-free spread writeback (type-1 SM and GM-sort plans).
 //
 // The atomic schemes (spread_gm.cpp, spread_sm.cpp) funnel every subproblem's
 // output through global atomic adds — on this vgpu, real locked RMW

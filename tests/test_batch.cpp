@@ -1,9 +1,12 @@
 // Batched (ntransf = B) execute correctness: for every dimension, precision,
-// type, method, and both kernel pipelines, a single batched execute must
-// match B independent B=1 executes on the same plan and points — including
-// the M=0 zero-fill branch and the C API's ntransf plumbing.
+// type, and method, a single batched execute must match B independent B=1
+// executes on the same plan and points — including the M=0 zero-fill branch
+// and the C API's ntransf plumbing. The runtime-width scalar kernels
+// (KernelParams::fast = false) get the same batch-vs-singles check at the
+// spread/interp layer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <complex>
 #include <vector>
 
@@ -67,14 +70,11 @@ std::vector<std::int64_t> modes_for(int dim) {
 
 /// Batched execute vs B singles, both run on plans sharing the same points.
 template <typename T>
-void check_batch_matches_singles(int dim, int type, core::Method method, int B,
-                                 int fastpath) {
+void check_batch_matches_singles(int dim, int type, core::Method method, int B) {
   BatchProblem<T> p(modes_for(dim), 700, B, 100 + dim * 10 + B);
   vgpu::Device dev(static_cast<std::size_t>(cf::test::env_workers(4)));
   core::Options opts;
   opts.method = method;
-  opts.fastpath = fastpath;
-  opts.tiled_spread = cf::test::env_tiled();
 
   core::Options bopts = opts;
   bopts.ntransf = B;
@@ -95,7 +95,7 @@ void check_batch_matches_singles(int dim, int type, core::Method method, int B,
                                        fbatch.begin() + (b + 1) * p.ntot);
       EXPECT_LT(cf::cpu::rel_l2_error<T>(got, fb), tol_for<T>())
           << "dim=" << dim << " method=" << core::method_name(method) << " B=" << B
-          << " fast=" << fastpath << " batch " << b;
+          << " batch " << b;
     }
   } else {
     std::vector<std::complex<T>> cbatch(B * p.M);
@@ -107,19 +107,19 @@ void check_batch_matches_singles(int dim, int type, core::Method method, int B,
                                        cbatch.begin() + (b + 1) * p.M);
       EXPECT_LT(cf::cpu::rel_l2_error<T>(got, cb), tol_for<T>())
           << "dim=" << dim << " method=" << core::method_name(method) << " B=" << B
-          << " fast=" << fastpath << " batch " << b;
+          << " batch " << b;
     }
   }
 }
 
 template <typename T>
-void sweep_batch(int fastpath) {
+void sweep_batch() {
   vgpu::Device probe(1);
   for (int dim = 1; dim <= 3; ++dim) {
     for (int B : {1, 3, 8}) {
       for (int type : {1, 2}) {
-        check_batch_matches_singles<T>(dim, type, core::Method::GM, B, fastpath);
-        check_batch_matches_singles<T>(dim, type, core::Method::GMSort, B, fastpath);
+        check_batch_matches_singles<T>(dim, type, core::Method::GM, B);
+        check_batch_matches_singles<T>(dim, type, core::Method::GMSort, B);
       }
       // SM is type-1 only; skip where the padded bin does not fit (3D double).
       core::Options sm;
@@ -130,17 +130,106 @@ void sweep_batch(int fastpath) {
       } catch (const std::invalid_argument&) {
         continue;
       }
-      check_batch_matches_singles<T>(dim, 1, core::Method::SM, B, fastpath);
+      check_batch_matches_singles<T>(dim, 1, core::Method::SM, B);
     }
   }
 }
 
+/// Scalar-fallback layer check: every spread method's batch entry point and
+/// interp_batch run with KernelParams::fast = false (the runtime-width path
+/// no plan selects at these widths) against B single-vector calls.
+template <typename T>
+void check_fallback_batch_matches_singles(int dim, int B) {
+  namespace spread = cf::spread;
+  BatchProblem<T> p(modes_for(dim), 700, B, 100 + dim * 10 + B);
+  vgpu::Device dev(static_cast<std::size_t>(cf::test::env_workers(4)));
+  spread::GridSpec grid;
+  grid.dim = dim;
+  for (int d = 0; d < dim; ++d) grid.nf[d] = std::max<std::int64_t>(2 * p.N[d], 16);
+  const auto bins = spread::BinSpec::make(grid, spread::BinSpec::default_size(dim));
+  auto kp = spread::KernelParams<T>::from_width(7);  // tol 1e-6's width
+  kp.fast = false;
+  std::vector<T> xg(p.M), yg(p.y.size()), zg(p.z.size());
+  for (std::size_t j = 0; j < p.M; ++j) {
+    xg[j] = spread::fold_rescale(p.x[j], grid.nf[0]);
+    if (dim >= 2) yg[j] = spread::fold_rescale(p.y[j], grid.nf[1]);
+    if (dim >= 3) zg[j] = spread::fold_rescale(p.z[j], grid.nf[2]);
+  }
+  const spread::NuPoints<T> pts{xg.data(), dim >= 2 ? yg.data() : nullptr,
+                                dim >= 3 ? zg.data() : nullptr, p.M};
+  spread::DeviceSort sort;
+  spread::bin_sort(dev, grid, bins, pts.xg, pts.yg, pts.zg, p.M, sort);
+  const auto G = static_cast<std::size_t>(grid.total());
+
+  auto expect_planes = [&](const std::vector<std::complex<T>>& batched,
+                           const std::vector<std::complex<T>>& singles,
+                           std::size_t stride, const char* what) {
+    for (int b = 0; b < B; ++b) {
+      const auto lo = static_cast<std::ptrdiff_t>(b * stride);
+      const auto hi = static_cast<std::ptrdiff_t>((b + 1) * stride);
+      std::vector<std::complex<T>> got(batched.begin() + lo, batched.begin() + hi);
+      std::vector<std::complex<T>> want(singles.begin() + lo, singles.begin() + hi);
+      EXPECT_LT(cf::cpu::rel_l2_error<T>(got, want), tol_for<T>())
+          << what << " dim=" << dim << " B=" << B << " batch " << b;
+    }
+  };
+
+  // GM (user order) and GM-sort (bin-sort order) spreading.
+  for (const std::uint32_t* order : {static_cast<const std::uint32_t*>(nullptr),
+                                     static_cast<const std::uint32_t*>(sort.order.data())}) {
+    std::vector<std::complex<T>> fb(B * G), fs(B * G);
+    spread::spread_gm_batch<T>(dev, grid, kp, pts, p.c.data(), fb.data(), order, B, p.M,
+                               G);
+    for (int b = 0; b < B; ++b)
+      spread::spread_gm<T>(dev, grid, kp, pts, p.c.data() + b * p.M, fs.data() + b * G,
+                           order);
+    expect_planes(fb, fs, G, order ? "GM-sort spread" : "GM spread");
+  }
+
+  // SM spreading over a prebuilt tap table, where the padded bin fits.
+  if (spread::sm_fits<T>(dev, grid, bins, kp.w)) {
+    const auto subs = spread::build_subproblems(dev, sort, 1024);
+    spread::TapTable<T> taps;
+    spread::build_tap_table(dev, dim, kp, pts, sort.order.data(), taps);
+    std::vector<std::complex<T>> fb(B * G), fs(B * G);
+    spread::spread_sm_batch<T>(dev, grid, bins, kp, pts, p.c.data(), fb.data(), sort,
+                               subs, 1024, taps, B, p.M, G);
+    for (int b = 0; b < B; ++b)
+      spread::spread_sm<T>(dev, grid, bins, kp, pts, p.c.data() + b * p.M,
+                           fs.data() + b * G, sort, subs, 1024, taps);
+    expect_planes(fb, fs, G, "SM spread");
+  }
+
+  // GM-sort interpolation from B random fine grids.
+  Rng rng(200 + dim * 10 + B);
+  std::vector<std::complex<T>> fw(B * G);
+  for (auto& v : fw)
+    v = {static_cast<T>(rng.uniform(-1, 1)), static_cast<T>(rng.uniform(-1, 1))};
+  std::vector<std::complex<T>> cb(B * p.M), cs(B * p.M);
+  spread::interp_batch<T>(dev, grid, kp, pts, fw.data(), cb.data(), sort.order.data(), B,
+                          p.M, G);
+  for (int b = 0; b < B; ++b)
+    spread::interp<T>(dev, grid, kp, pts, fw.data() + b * G, cs.data() + b * p.M,
+                      sort.order.data());
+  expect_planes(cb, cs, p.M, "interp");
+}
+
+template <typename T>
+void sweep_fallback_batch() {
+  for (int dim = 1; dim <= 3; ++dim)
+    for (int B : {1, 3, 8}) check_fallback_batch_matches_singles<T>(dim, B);
+}
+
 }  // namespace
 
-TEST(BatchExecute, MatchesSinglesAllDimsMethodsFastF64) { sweep_batch<double>(1); }
-TEST(BatchExecute, MatchesSinglesAllDimsMethodsFastF32) { sweep_batch<float>(1); }
-TEST(BatchExecute, MatchesSinglesAllDimsMethodsFallbackF64) { sweep_batch<double>(0); }
-TEST(BatchExecute, MatchesSinglesAllDimsMethodsFallbackF32) { sweep_batch<float>(0); }
+TEST(BatchExecute, MatchesSinglesAllDimsMethodsFastF64) { sweep_batch<double>(); }
+TEST(BatchExecute, MatchesSinglesAllDimsMethodsFastF32) { sweep_batch<float>(); }
+TEST(BatchExecute, MatchesSinglesAllDimsMethodsFallbackF64) {
+  sweep_fallback_batch<double>();
+}
+TEST(BatchExecute, MatchesSinglesAllDimsMethodsFallbackF32) {
+  sweep_fallback_batch<float>();
+}
 
 TEST(BatchExecute, BatchedAccuracyAgainstDirect) {
   // The batched pipeline must hit the requested tolerance, not just match the
@@ -151,8 +240,6 @@ TEST(BatchExecute, BatchedAccuracyAgainstDirect) {
   cf::ThreadPool pool(2);
   core::Options opts;
   opts.ntransf = B;
-  opts.fastpath = cf::test::env_fastpath();
-  opts.tiled_spread = cf::test::env_tiled();
   core::Plan<double> plan(dev, 1, p.N, +1, 1e-9, opts);
   plan.set_points(p.M, p.x.data(), p.y.data(), nullptr);
   std::vector<std::complex<double>> fbatch(p.f.size());

@@ -1,32 +1,30 @@
 // Environment overrides for the test suites: CI re-runs ctest with
-// CF_WORKERS (device worker count), CF_FASTPATH (0 = runtime-width scalar
-// fallback), CF_TILED (0 = atomic spread writeback), CF_TILE_CHUNK (forced
-// tiled-spread chunk cap), and CF_UPSAMP (fine-grid sigma) set, so
-// multi-worker atomic contention, the fallback pipeline, the atomic
-// writeback, the chunked stealing scheduler, and the low-upsampling grid all
-// stay covered without recompiling. Unset variables keep the defaults.
+// CF_WORKERS (device worker count), CF_TILE_CHUNK (forced tiled-spread chunk
+// cap), and CF_UPSAMP (fine-grid sigma) set, so multi-worker contention, the
+// chunked stealing scheduler, and the low-upsampling grid all stay covered
+// without recompiling. Unset variables keep the defaults; malformed ones get
+// a one-line stderr diagnostic and the default, so a typo never silently runs
+// the default configuration while looking like an override.
 #pragma once
 
 #include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 
+#include "common/env.hpp"
+
 namespace cf::test {
 
-inline int env_int(const char* name, int fallback) {
-  const char* v = std::getenv(name);
-  return v && *v ? std::atoi(v) : fallback;
+inline int env_int(const char* name, int fallback, int min_v = INT_MIN,
+                   int max_v = INT_MAX) {
+  return cf::env_int_strict(name, fallback, min_v, max_v);
 }
 
 /// Device worker count for suites that don't sweep it themselves.
-inline int env_workers(int fallback) { return env_int("CF_WORKERS", fallback); }
-
-/// Options::fastpath override (default 1 = width-specialized kernels).
-inline int env_fastpath(int fallback = 1) { return env_int("CF_FASTPATH", fallback); }
-
-/// Options::tiled_spread override (default 1 = tile-owned atomic-free
-/// writeback; 0 = atomic writeback baseline).
-inline int env_tiled(int fallback = 1) { return env_int("CF_TILED", fallback); }
+inline int env_workers(int fallback) {
+  return env_int("CF_WORKERS", fallback, 1, 4096);
+}
 
 /// Options::tile_chunk_cap override (default 0 = auto). The library itself
 /// also honors CF_TILE_CHUNK at the auto setting, so plans created by suites
@@ -37,10 +35,7 @@ inline int env_tile_chunk(int fallback = 0) {
 }
 
 /// Options::upsampfac override (default 2.0; CI sets CF_UPSAMP=1.25 for the
-/// low-upsampling pass). Parsed strictly, same policy as the service layer's
-/// CF_SERVICE_WINDOW_US: anything that is not a whole double in a sane range
-/// gets a one-line diagnostic and the fallback, so a typo never silently
-/// runs the default configuration while looking like an override.
+/// low-upsampling pass). Parsed strictly, same policy as env_int.
 inline double env_upsampfac(double fallback = 2.0) {
   const char* v = std::getenv("CF_UPSAMP");
   if (!v || !*v) return fallback;

@@ -1,14 +1,17 @@
 // PointCache lifecycle (plan -> set_points -> execute):
 //  * repeated execute() after one set_points() is bitwise-stable at one
 //    worker and performs ZERO tap-table construction (Breakdown counter);
+//    a batched (ntransf > 1) tiled GM-sort type-1 plan keeps its tap table
+//    from set_points and matches the inline-tap single-vector plan bitwise;
 //  * re-set_points with different M/points invalidates and rebuilds the
 //    cache exactly once, and results stay correct;
 //  * the interior/boundary classification is exercised with an all-boundary
 //    point set (everything within w/2 of the grid edge) and an all-interior
 //    one, across dims x methods x precisions;
-//  * the interior no-wrap fast path is bitwise-identical to the forced-wrap
-//    path at one worker, and the per-execute-rebuild baseline
-//    (Options::point_cache = 0) is bitwise-identical to the cached pipeline.
+//  * at the spread/interp layer, the interior no-wrap path is bitwise-
+//    identical to the wrap-everything path (n_nowrap = 0) at one worker, and
+//    SM spreading from a prebuilt tap table is bitwise-identical to the
+//    table-less overload's per-call transient build.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -19,10 +22,12 @@
 #include "common/rng.hpp"
 #include "core/plan.hpp"
 #include "cpu/direct.hpp"
+#include "spreadinterp/spread.hpp"
 #include "test_env.hpp"
 #include "vgpu/device.hpp"
 
 namespace core = cf::core;
+namespace spread = cf::spread;
 namespace vgpu = cf::vgpu;
 using cf::Rng;
 
@@ -120,22 +125,29 @@ bool sm_available(int dim, double tol) {
 
 // ---- repeated execute: bitwise stability + zero tap construction ------------
 
+/// `out` receives the first execute's output (ntransf stacked planes; every
+/// plane carries the same strengths, so each must equal the single-vector
+/// output) and `tiled` whether the spread ran tile-owned.
 template <typename T>
-static void check_repeat(int dim, int type, core::Method method) {
+static void check_repeat(int dim, int type, core::Method method, int ntransf = 1,
+                         std::vector<std::int64_t> modes = {},
+                         std::vector<std::complex<T>>* out = nullptr, int* tiled = nullptr) {
   const double tol = 1e-6;
+  if (modes.empty()) modes = modes_for(dim);
   vgpu::Device dev(1);  // one worker => deterministic accumulation order
   core::Options opts;
   opts.method = method;
-  opts.fastpath = cf::test::env_fastpath();
-  opts.tiled_spread = cf::test::env_tiled();
-  core::Plan<T> plan(dev, type, modes_for(dim), +1, tol, opts);
+  opts.ntransf = ntransf;
+  core::Plan<T> plan(dev, type, modes, +1, tol, opts);
 
-  Problem<T> p(modes_for(dim), 600, plan.fine_grid().nf, plan.kernel_width(),
+  Problem<T> p(modes, 600, plan.fine_grid().nf, plan.kernel_width(),
                Placement::Anywhere, 7 + dim);
   plan.set_points(p.M, p.x.data(), p.yp(), p.zp());
   const auto builds_after_setpts = plan.last_breakdown().tap_builds;
 
-  std::vector<std::complex<T>> f(static_cast<std::size_t>(p.ntot));
+  std::vector<std::complex<T>> c(static_cast<std::size_t>(ntransf) * p.M);
+  for (std::size_t i = 0; i < c.size(); ++i) c[i] = p.c[i % p.M];
+  std::vector<std::complex<T>> f(static_cast<std::size_t>(ntransf * p.ntot));
   if (type == 1)
     for (auto& v : f) v = {T(0), T(0)};
   else {
@@ -147,15 +159,17 @@ static void check_repeat(int dim, int type, core::Method method) {
   auto run_once = [&] {
     if (type == 1) {
       std::vector<std::complex<T>> out(f.size());
-      plan.execute(p.c.data(), out.data());
+      plan.execute(c.data(), out.data());
       return out;
     }
-    std::vector<std::complex<T>> out(p.M);
+    std::vector<std::complex<T>> out(c.size());
     plan.execute(out.data(), f.data());
     return out;
   };
 
   const auto first = run_once();
+  if (out) *out = first;
+  if (tiled) *tiled = plan.last_breakdown().tiled;
   for (int rep = 0; rep < 3; ++rep) {
     const auto again = run_once();
     ASSERT_EQ(first.size(), again.size());
@@ -170,6 +184,10 @@ static void check_repeat(int dim, int type, core::Method method) {
   EXPECT_GE(plan.last_breakdown().cache_hits, 4u);
   if (method == core::Method::SM)
     EXPECT_EQ(builds_after_setpts, 1u);  // exactly one build, in set_points
+  if (method == core::Method::GMSort && type == 1 && plan.last_breakdown().tiled) {
+    EXPECT_EQ(builds_after_setpts, ntransf > 1 ? 1u : 0u)
+        << "dim=" << dim << " ntransf=" << ntransf;  // batched plans keep taps
+  }
 }
 
 TEST(PointCache, RepeatedExecuteBitwiseStableZeroTapBuildsF64) {
@@ -179,6 +197,20 @@ TEST(PointCache, RepeatedExecuteBitwiseStableZeroTapBuildsF64) {
     check_repeat<double>(dim, 2, core::Method::GMSort);
     if (sm_available<double>(dim, 1e-6)) check_repeat<double>(dim, 1, core::Method::SM);
   }
+  // Tiled GM-sort type 1 (modes sized so the tile gate passes) at ntransf 1
+  // and 3: the batched plan streams a tap table kept from set_points, the
+  // single-vector plan evaluates taps inline; every plane must agree bitwise.
+  const std::vector<std::int64_t> tiled3d{16, 16, 12};
+  std::vector<std::complex<double>> single, batched;
+  int tiled1 = 0, tiled3 = 0;
+  check_repeat<double>(3, 1, core::Method::GMSort, 1, tiled3d, &single, &tiled1);
+  check_repeat<double>(3, 1, core::Method::GMSort, 3, tiled3d, &batched, &tiled3);
+  ASSERT_EQ(tiled1, 1);
+  ASSERT_EQ(tiled3, 1);
+  ASSERT_EQ(batched.size(), 3 * single.size());
+  for (std::size_t i = 0; i < batched.size(); ++i)
+    ASSERT_EQ(batched[i], single[i % single.size()])
+        << "plane=" << i / single.size() << " i=" << i % single.size();
 }
 
 TEST(PointCache, RepeatedExecuteBitwiseStableZeroTapBuildsF32) {
@@ -198,8 +230,6 @@ TEST(PointCache, ReSetPointsInvalidatesAndRebuildsOnce) {
     vgpu::Device dev(static_cast<std::size_t>(cf::test::env_workers(4)));
     core::Options opts;
     opts.method = core::Method::SM;
-    opts.fastpath = cf::test::env_fastpath();
-    opts.tiled_spread = cf::test::env_tiled();
     core::Plan<double> plan(dev, 1, modes_for(dim), +1, 1e-9, opts);
 
     Problem<double> p1(modes_for(dim), 500, plan.fine_grid().nf, plan.kernel_width(),
@@ -234,10 +264,10 @@ static void check_classification(int dim, core::Method method, Placement place,
   vgpu::Device dev(static_cast<std::size_t>(cf::test::env_workers(4)));
   core::Options opts;
   opts.method = method;
-  opts.fastpath = cf::test::env_fastpath();
-  // Pin the atomic writeback: the tiled engine skips classification (its
+  // Bins larger than the grid fail the tile gate, so GM-sort keeps the
+  // atomic writeback: the tiled engine skips classification (its
   // accumulation never wraps), and this test targets the classification.
-  opts.tiled_spread = 0;
+  opts.binsize = {4096, 4096, 4096};
   core::Plan<T> plan(dev, 1, modes_for(dim), +1, tol, opts);
   Problem<T> p(modes_for(dim), 400, plan.fine_grid().nf, plan.kernel_width(), place,
                seed);
@@ -255,6 +285,7 @@ static void check_classification(int dim, core::Method method, Placement place,
 
   std::vector<std::complex<T>> f(static_cast<std::size_t>(p.ntot));
   plan.execute(p.c.data(), f.data());
+  EXPECT_EQ(plan.last_breakdown().tiled, 0);
   EXPECT_LT(accuracy_vs_direct(p, f), (std::is_same_v<T, double> ? 1e-5 : 3e-4))
       << "dim=" << dim << " method=" << core::method_name(method)
       << (place == Placement::AllBoundary ? " all-boundary" : " all-interior");
@@ -276,123 +307,111 @@ TEST(PointCache, AllInteriorClassificationAllDimsMethodsPrecisions) {
     }
 }
 
-// ---- interior toggle is numerically transparent ------------------------------
-//
-// The no-wrap indices of interior points equal the wrapped ones bit for bit,
-// so for GATHER stages (type-2 interp, where each point's output is an
-// independent sum) the toggle is a bitwise no-op. For the type-1 ATOMIC
-// scatter the interior-first partition intentionally reorders the per-point
-// accumulation (that is what makes the hot loops branch-free), so the two
-// settings agree to float-reassociation level there; on the TILED writeback
-// the accumulation order is per-bin and independent of the partition, so
-// type 1 is bitwise again whenever the tile engine is active.
+// ---- layer level: no-wrap path and cached taps are bitwise-transparent ----
 
-TEST(PointCache, InteriorFastpathToggleIsNumericallyTransparent) {
+namespace {
+
+/// A Problem's points fold-rescaled onto a fine grid, as the plans hold them.
+template <typename T>
+struct FinePoints {
+  std::vector<T> x, y, z;
+
+  FinePoints(const Problem<T>& p, const spread::GridSpec& g) {
+    auto fold = [&](const std::vector<T>& in, std::vector<T>& out, int d) {
+      out.resize(in.size());
+      for (std::size_t j = 0; j < in.size(); ++j)
+        out[j] = spread::fold_rescale(in[j], g.nf[d]);
+    };
+    fold(p.x, x, 0);
+    fold(p.y, y, 1);
+    fold(p.z, z, 2);
+  }
+
+  spread::NuPoints<T> pts(std::size_t n_nowrap = 0) const {
+    return {x.data(), y.empty() ? nullptr : y.data(), z.empty() ? nullptr : z.data(),
+            x.size(), n_nowrap};
+  }
+};
+
+}  // namespace
+
+TEST(PointCache, InteriorNoWrapPathIsBitwiseTransparent) {
+  // The no-wrap indices of interior points equal the wrapped ones bit for
+  // bit, so running the interior-first order with its no-wrap prefix
+  // (n_nowrap = n_interior) must reproduce the same order on the wrap path
+  // (n_nowrap = 0) exactly: for the interp gather (each point an independent
+  // sum, so the plain sort order must match too) and, at one worker where
+  // the scatter order is the iteration order, for the atomic GM-sort spread.
+  const int B = 2;
   for (int dim = 1; dim <= 3; ++dim) {
-    for (int type : {1, 2}) {
-      vgpu::Device dev(1);
-      core::Options on, off;
-      on.method = off.method = core::Method::GMSort;
-      on.fastpath = off.fastpath = cf::test::env_fastpath();
-      on.tiled_spread = off.tiled_spread = cf::test::env_tiled();
-      off.interior_fastpath = 0;
-      core::Plan<double> pa(dev, type, modes_for(dim), +1, 1e-8, on);
-      core::Plan<double> pb(dev, type, modes_for(dim), +1, 1e-8, off);
-      Problem<double> p(modes_for(dim), 800, pa.fine_grid().nf, pa.kernel_width(),
-                        Placement::Anywhere, 61 + dim);
-      pa.set_points(p.M, p.x.data(), p.yp(), p.zp());
-      pb.set_points(p.M, p.x.data(), p.yp(), p.zp());
-      EXPECT_GT(pa.last_breakdown().interior_points, 0u);  // fast path exercised
-      if (type == 1) {
-        std::vector<std::complex<double>> fa(static_cast<std::size_t>(p.ntot)),
-            fb(fa.size());
-        pa.execute(p.c.data(), fa.data());
-        pb.execute(p.c.data(), fb.data());
-        if (pa.last_breakdown().tiled) {
-          // Tile-owned writeback: accumulation order ignores the partition.
-          for (std::size_t i = 0; i < fa.size(); ++i)
-            ASSERT_EQ(fa[i], fb[i]) << "dim=" << dim << " i=" << i;
-        } else {
-          EXPECT_LT(cf::cpu::rel_l2_error<double>(fa, fb), 1e-12) << "dim=" << dim;
-        }
-      } else {
-        Rng rng(71);
-        std::vector<std::complex<double>> f(static_cast<std::size_t>(p.ntot));
-        for (auto& v : f) v = {rng.uniform(-1, 1), rng.uniform(-1, 1)};
-        std::vector<std::complex<double>> ca(p.M), cb(p.M);
-        pa.execute(ca.data(), f.data());
-        pb.execute(cb.data(), f.data());
-        for (std::size_t i = 0; i < ca.size(); ++i)
-          ASSERT_EQ(ca[i], cb[i]) << "dim=" << dim << " i=" << i;
-      }
+    vgpu::Device dev(1);
+    const core::Plan<double> shape(dev, 2, modes_for(dim), +1, 1e-8);
+    const auto& grid = shape.fine_grid();
+    const auto kp = spread::KernelParams<double>::from_width(shape.kernel_width());
+    const auto bins = spread::BinSpec::make(grid, spread::BinSpec::default_size(dim));
+    Problem<double> p(modes_for(dim), 800, grid.nf, kp.w, Placement::Anywhere, 61 + dim);
+    const FinePoints<double> fp(p, grid);
+    spread::DeviceSort sort;
+    spread::bin_sort(dev, grid, bins, fp.pts().xg, fp.pts().yg, fp.pts().zg, p.M, sort);
+    spread::InteriorPartition part;
+    spread::classify_interior(dev, grid, kp, fp.pts(), sort.order.data(), part);
+    ASSERT_GT(part.n_interior, 0u) << "dim=" << dim;  // fast path exercised
+    ASSERT_GT(part.n_boundary, 0u) << "dim=" << dim;  // ...and the wrap path
+
+    const auto G = static_cast<std::size_t>(grid.total());
+    Rng rng(71 + dim);
+    std::vector<std::complex<double>> c(B * p.M), fw(B * G);
+    for (auto& v : c) v = {rng.uniform(-1, 1), rng.uniform(-1, 1)};
+    for (auto& v : fw) v = {rng.uniform(-1, 1), rng.uniform(-1, 1)};
+
+    std::vector<std::complex<double>> sa(B * G), sb(B * G);
+    spread::spread_gm_batch<double>(dev, grid, kp, fp.pts(part.n_interior), c.data(),
+                                    sa.data(), part.order.data(), B, p.M, G);
+    spread::spread_gm_batch<double>(dev, grid, kp, fp.pts(), c.data(), sb.data(),
+                                    part.order.data(), B, p.M, G);
+    for (std::size_t i = 0; i < sa.size(); ++i)
+      ASSERT_EQ(sa[i], sb[i]) << "spread dim=" << dim << " i=" << i;
+
+    std::vector<std::complex<double>> ia(B * p.M), ib(B * p.M), ic(B * p.M);
+    spread::interp_batch<double>(dev, grid, kp, fp.pts(part.n_interior), fw.data(),
+                                 ia.data(), part.order.data(), B, p.M, G);
+    spread::interp_batch<double>(dev, grid, kp, fp.pts(), fw.data(), ib.data(),
+                                 part.order.data(), B, p.M, G);
+    spread::interp_batch<double>(dev, grid, kp, fp.pts(), fw.data(), ic.data(),
+                                 sort.order.data(), B, p.M, G);
+    for (std::size_t i = 0; i < ia.size(); ++i) {
+      ASSERT_EQ(ia[i], ib[i]) << "interp dim=" << dim << " i=" << i;
+      ASSERT_EQ(ia[i], ic[i]) << "interp vs sort order dim=" << dim << " i=" << i;
     }
   }
 }
 
-TEST(PointCache, CachedPipelineBitwiseMatchesPerExecuteRebuildOneWorker) {
+TEST(PointCache, SmCachedTapTableBitwiseMatchesTransientBuild) {
+  // What the plan caches in set_points (one tap table, streamed by every
+  // execute) must equal the table-less spread_sm overload, which builds a
+  // transient table per call, bit for bit at one worker.
   for (int dim = 1; dim <= 3; ++dim) {
-    if (!sm_available<float>(dim, 1e-6)) continue;
     vgpu::Device dev(1);
-    core::Options cached, rebuild;
-    cached.method = rebuild.method = core::Method::SM;
-    cached.fastpath = rebuild.fastpath = cf::test::env_fastpath();
-    cached.tiled_spread = rebuild.tiled_spread = cf::test::env_tiled();
-    rebuild.point_cache = 0;
-    core::Plan<float> pa(dev, 1, modes_for(dim), +1, 1e-6, cached);
-    core::Plan<float> pb(dev, 1, modes_for(dim), +1, 1e-6, rebuild);
-    Problem<float> p(modes_for(dim), 700, pa.fine_grid().nf, pa.kernel_width(),
-                     Placement::Anywhere, 81 + dim);
-    pa.set_points(p.M, p.x.data(), p.yp(), p.zp());
-    pb.set_points(p.M, p.x.data(), p.yp(), p.zp());
-    std::vector<std::complex<float>> fa(static_cast<std::size_t>(p.ntot)), fb(fa.size());
-    pa.execute(p.c.data(), fa.data());
-    pb.execute(p.c.data(), fb.data());
-    // The rebuild baseline constructs its table inside execute; the cached
-    // plan must not.
-    EXPECT_EQ(pa.last_breakdown().tap_builds, 1u);
-    EXPECT_EQ(pb.last_breakdown().tap_builds, 1u);  // built during execute
-    pb.execute(p.c.data(), fb.data());
-    EXPECT_EQ(pb.last_breakdown().tap_builds, 2u);  // ...and again per execute
+    const core::Plan<float> shape(dev, 1, modes_for(dim), +1, 1e-6);
+    const auto& grid = shape.fine_grid();
+    const auto kp = spread::KernelParams<float>::from_width(shape.kernel_width());
+    const auto bins = spread::BinSpec::make(grid, spread::BinSpec::default_size(dim));
+    if (!spread::sm_fits<float>(dev, grid, bins, kp.w)) continue;
+    Problem<float> p(modes_for(dim), 700, grid.nf, kp.w, Placement::Anywhere, 81 + dim);
+    const FinePoints<float> fp(p, grid);
+    spread::DeviceSort sort;
+    spread::bin_sort(dev, grid, bins, fp.pts().xg, fp.pts().yg, fp.pts().zg, p.M, sort);
+    const auto subs = spread::build_subproblems(dev, sort, 1024);
+    spread::TapTable<float> taps;
+    spread::build_tap_table(dev, dim, kp, fp.pts(), sort.order.data(), taps);
+
+    const auto G = static_cast<std::size_t>(grid.total());
+    std::vector<std::complex<float>> fa(G), fb(G);
+    spread::spread_sm<float>(dev, grid, bins, kp, fp.pts(), p.c.data(), fa.data(), sort,
+                             subs, 1024, taps);
+    spread::spread_sm<float>(dev, grid, bins, kp, fp.pts(), p.c.data(), fb.data(), sort,
+                             subs, 1024);
     for (std::size_t i = 0; i < fa.size(); ++i)
       ASSERT_EQ(fa[i], fb[i]) << "dim=" << dim << " i=" << i;
-  }
-}
-
-// ---- point_cache = 2: plan-resident taps for the tiled GM-sort spread -------
-
-TEST(PointCache, GmSortTiledCachedTapsBitwiseAndBuiltOnce) {
-  // The aggressive mode the service layer's batched plans run: the tiled
-  // GM-sort spread streams a tap table persisted by set_points instead of
-  // evaluating taps inline each execute. Output must be bitwise-identical to
-  // the default inline evaluation, with exactly one build, in set_points.
-  // Modes are sized so the tile-geometry gate passes (inline vs cached only
-  // differ on the tiled path).
-  for (int dim = 2; dim <= 3; ++dim) {
-    const auto modes = dim == 2 ? std::vector<std::int64_t>{20, 24}
-                                : std::vector<std::int64_t>{16, 16, 12};
-    vgpu::Device dev(static_cast<std::size_t>(cf::test::env_workers(2)));
-    core::Options inline_taps, cached_taps;
-    inline_taps.method = cached_taps.method = core::Method::GMSort;
-    inline_taps.fastpath = cached_taps.fastpath = cf::test::env_fastpath();
-    inline_taps.tiled_spread = cached_taps.tiled_spread = 1;
-    cached_taps.point_cache = 2;
-    core::Plan<float> pa(dev, 1, modes, +1, 1e-5, inline_taps);
-    core::Plan<float> pb(dev, 1, modes, +1, 1e-5, cached_taps);
-    Problem<float> p(modes, 900, pa.fine_grid().nf, pa.kernel_width(),
-                     Placement::Anywhere, 51 + dim);
-    pa.set_points(p.M, p.x.data(), p.yp(), p.zp());
-    pb.set_points(p.M, p.x.data(), p.yp(), p.zp());
-    EXPECT_EQ(pa.last_breakdown().tap_builds, 0u);  // GM-sort default: no table
-    EXPECT_EQ(pb.last_breakdown().tap_builds, 1u);  // built once, in set_points
-    std::vector<std::complex<float>> fa(static_cast<std::size_t>(p.ntot)), fb(fa.size());
-    for (int rep = 0; rep < 2; ++rep) {
-      pa.execute(p.c.data(), fa.data());
-      pb.execute(p.c.data(), fb.data());
-      ASSERT_EQ(pa.last_breakdown().tiled, 1) << "dim=" << dim;
-      ASSERT_EQ(pb.last_breakdown().tiled, 1) << "dim=" << dim;
-      for (std::size_t i = 0; i < fa.size(); ++i)
-        ASSERT_EQ(fa[i], fb[i]) << "dim=" << dim << " rep=" << rep << " i=" << i;
-    }
-    EXPECT_EQ(pb.last_breakdown().tap_builds, 1u);  // zero builds in executes
   }
 }

@@ -50,8 +50,8 @@ namespace {
 /// Whether service outputs must be bitwise equal to serial references: type-2
 /// pipelines (gather interp, no atomics) and one-worker devices always are;
 /// type 1 is when the deterministic tiled spread actually ran (`ref_tiled` —
-/// the geometry gate or CF_TILED=0 can leave a plan on the atomic fallback,
-/// whose float summation order varies with worker scheduling).
+/// the geometry gate can leave a plan on the atomic fallback, whose float
+/// summation order varies with worker scheduling).
 bool expect_bitwise(std::size_t workers, int type, int ref_tiled) {
   return workers <= 1 || type == 2 || ref_tiled == 1;
 }
@@ -129,8 +129,6 @@ struct Problem {
 
 core::Options env_opts() {
   core::Options o;
-  o.fastpath = cf::test::env_fastpath();
-  o.tiled_spread = cf::test::env_tiled();
   o.upsampfac = cf::test::env_upsampfac();
   return o;
 }
@@ -208,11 +206,10 @@ struct T3Problem {
   }
 
   /// Direct Type3Plan on the options a service plan actually runs with
-  /// (point cache promoted, ntransf = coalescing cap).
+  /// (ntransf = coalescing cap).
   std::vector<std::complex<double>> reference(std::size_t workers, core::Options opts,
                                               int max_batch = 8) const {
     vgpu::Device dev(workers);
-    opts.point_cache = 2;
     opts.ntransf = max_batch;
     core::Type3Plan<double> plan(dev, 2, +1, 1e-9, opts);
     plan.set_points(M, x.data(), y.data(), nullptr, K, s.data(), t.data(), nullptr);
@@ -337,9 +334,7 @@ TEST(Service, ResponsesBitwiseIdenticalAcrossCoalescingAndThreadCounts) {
   std::vector<std::vector<std::complex<float>>> ref(kReq);
   int ref_tiled = 0;
   for (int i = 0; i < kReq; ++i) ref[i] = reqs[i].reference(workers, opts, &ref_tiled);
-  if (cf::test::env_tiled()) {
-    ASSERT_EQ(ref_tiled, 1);  // the shape above must exercise the tiled path
-  }
+  ASSERT_EQ(ref_tiled, 1);  // the shape above must exercise the tiled path
 
   // Service shapes that force different batch compositions: one dispatcher
   // with a window (full 8-batch), several dispatchers with max_batch 3
@@ -780,16 +775,11 @@ TEST(Service, IflagZeroRejectedInsteadOfSilentlyFoldedToPlusOne) {
 // ---- plan key: backend-dead fields are normalized ---------------------------
 
 TEST(Service, CpuPlanKeyNormalizesDeviceOnlyOptions) {
-  // Direct key check: under Backend::Cpu the device-only knobs (method,
-  // fastpath, packed_atomics, point_cache, interior_fastpath) are dead —
-  // CpuBackendPlan never reads them — so they must not split the signature.
+  // Direct key check: under Backend::Cpu the device-only method is dead —
+  // CpuBackendPlan never reads it — so it must not split the signature.
   const std::int64_t N[2] = {18, 14};
   core::Options noisy;
   noisy.method = core::Method::GMSort;
-  noisy.fastpath = -1;
-  noisy.packed_atomics = 1;
-  noisy.point_cache = -1;
-  noisy.interior_fastpath = -1;
   const core::Options plain;
   const auto k_noisy = service::make_plan_key<double>(service::Backend::Cpu, 1, 2, N,
                                                       +1, 1e-9, noisy);
@@ -798,11 +788,11 @@ TEST(Service, CpuPlanKeyNormalizesDeviceOnlyOptions) {
   EXPECT_EQ(k_noisy, k_plain);
 
   // Options the CPU backend DOES consume still split the key...
-  core::Options tiled_off = plain;
-  tiled_off.tiled_spread = -1;
+  core::Options capped = plain;
+  capped.tile_chunk_cap = 64;
   EXPECT_FALSE(service::make_plan_key<double>(service::Backend::Cpu, 1, 2, N, +1,
-                                              1e-9, tiled_off) == k_plain);
-  // ...and on the device backend the same knobs are live signature bits.
+                                              1e-9, capped) == k_plain);
+  // ...and on the device backend the method is a live signature bit.
   EXPECT_FALSE(service::make_plan_key<double>(service::Backend::Device, 1, 2, N, +1,
                                               1e-9, noisy) ==
                service::make_plan_key<double>(service::Backend::Device, 1, 2, N, +1,
@@ -1086,7 +1076,6 @@ TEST(Service, CpuBackendMatchesDirectCpuPlan) {
   Problem<double> p(std::vector<std::int64_t>{18, 14}, 1, 400, 21);
 
   core::Options opts;  // CPU backend: only the shared option subset applies
-  opts.tiled_spread = cf::test::env_tiled();
   std::vector<std::complex<double>> out(p.out_len());
   auto req = p.request(opts, out);
   req.backend = service::Backend::Cpu;
@@ -1094,7 +1083,6 @@ TEST(Service, CpuBackendMatchesDirectCpuPlan) {
   svc.submit(req).get();
 
   cf::cpu::CpuPlan<double>::Options copts;
-  copts.tiled_spread = cf::test::env_tiled();
   cf::cpu::CpuPlan<double> plan(dev.pool(), 1, p.N, +1, 1e-9, copts);
   plan.set_points(p.M, p.x.data(), p.yp(), p.zp());
   std::vector<std::complex<double>> want(p.out_len());
@@ -1133,8 +1121,6 @@ TEST(Service, CApiServiceCoalescesAndMatchesPlan) {
 
   cfs_opts opts;
   cfs_default_opts(&opts);
-  opts.gpu_fastpath = cf::test::env_fastpath() ? 0 : -1;
-  opts.gpu_tiled_spread = cf::test::env_tiled() ? 0 : -1;
 
   std::vector<cfs_request> reqs(kReq);
   for (int i = 0; i < kReq; ++i)
@@ -1157,17 +1143,12 @@ TEST(Service, CApiServiceCoalescesAndMatchesPlan) {
   cfs_planf plan = nullptr;
   ASSERT_EQ(cfs_makeplanf(dev, 1, 2, nmodes, +1, 1e-5, &opts, &plan), CFS_SUCCESS);
   ASSERT_EQ(cfs_setptsf(plan, M, x.data(), y.data(), nullptr), CFS_SUCCESS);
-  const bool bitwise = cf::test::env_tiled() != 0;
   for (int i = 0; i < kReq; ++i) {
     std::vector<float> want(2 * ntot);
     std::vector<float> c = cin[i];
     ASSERT_EQ(cfs_executef(plan, c.data(), want.data()), CFS_SUCCESS);
-    for (std::size_t k = 0; k < want.size(); ++k) {
-      if (bitwise)
-        ASSERT_EQ(fout[i][k], want[k]) << "req " << i << " k=" << k;
-      else
-        ASSERT_NEAR(fout[i][k], want[k], 1e-3) << "req " << i << " k=" << k;
-    }
+    for (std::size_t k = 0; k < want.size(); ++k)
+      ASSERT_EQ(fout[i][k], want[k]) << "req " << i << " k=" << k;
   }
   cfs_destroyf(plan);
   cfs_service_destroy(svc);

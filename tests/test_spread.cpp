@@ -409,6 +409,32 @@ std::vector<std::complex<T>> run_with_params(vgpu::Device& dev, const Workload<T
   return fw;
 }
 
+/// The tile-owned writeback (the spread of tiled SM / GM-sort type-1 plans
+/// and of type-3 plans) with taps evaluated inline or streamed from a table.
+/// Returns an empty grid when the tile gate declines the geometry.
+template <typename T>
+std::vector<std::complex<T>> run_tiled_with_params(vgpu::Device& dev,
+                                                   const Workload<T>& wl,
+                                                   const spread::KernelParams<T>& kp,
+                                                   bool with_taps) {
+  spread::DeviceSort sort;
+  spread::bin_sort(dev, wl.grid, wl.bins, wl.xg.data(),
+                   wl.grid.dim >= 2 ? wl.yg.data() : nullptr,
+                   wl.grid.dim >= 3 ? wl.zg.data() : nullptr, wl.xg.size(), sort);
+  spread::TileSet<T> tiles;
+  if (!spread::build_tile_set(dev, wl.grid, wl.bins, kp.w, sort, 1,
+                              spread::kTileArenaMaxBytes, tiles))
+    return {};
+  spread::TapTable<T> taps;
+  if (with_taps)
+    spread::build_tap_table(dev, wl.grid.dim, kp, wl.pts(), sort.order.data(), taps);
+  std::vector<std::complex<T>> fw(static_cast<std::size_t>(wl.grid.total()), {0, 0});
+  spread::spread_tiled_batch<T>(dev, wl.grid, wl.bins, kp, wl.pts(), wl.c.data(),
+                                fw.data(), sort, tiles, with_taps ? &taps : nullptr, 1,
+                                0, 0);
+  return fw;
+}
+
 TEST(SpreadFastPath, EveryWidthMatchesFallback) {
   // The width-dispatched kernels must reproduce the runtime-w scalar path at
   // every dispatchable width, for all three methods (direct exp/sqrt
@@ -445,6 +471,14 @@ TEST(SpreadFastPath, AllDimsMatchFallback) {
         auto want = run_with_params<double>(dev, wl, kp_scalar, m);
         EXPECT_LT(grid_rel_err(got, want), 1e-12)
             << "dim=" << dim << " w=" << w << " method=" << int(m);
+      }
+      for (bool with_taps : {false, true}) {
+        auto got = run_tiled_with_params<double>(dev, wl, wl.kp, with_taps);
+        auto want = run_tiled_with_params<double>(dev, wl, kp_scalar, with_taps);
+        ASSERT_EQ(got.size(), want.size());
+        if (got.empty()) continue;  // tile gate declined (1D default bin)
+        EXPECT_LT(grid_rel_err(got, want), 1e-12)
+            << "dim=" << dim << " w=" << w << " tiled taps=" << with_taps;
       }
     }
   }
@@ -490,12 +524,12 @@ TEST(SpreadFastPath, EveryKernelWidthDispatchesCompileTime) {
 TEST(SpreadFastPath, Width20PlanBuildsTapsAndMatchesDirect) {
   // sigma = 1.25 at tol 1e-12 selects w = 20 (test_kernel asserts the width
   // rule): the plan must carry that width through the compile-time dispatch,
-  // build its plan-resident tap table (point_cache = 2 on the tiled GM-sort
-  // engine), and still deliver deep-tolerance accuracy against the direct
-  // sum.
+  // build its plan-resident tap table (a batched plan, ntransf > 1, keeps one
+  // for the tiled GM-sort engine), and still deliver deep-tolerance accuracy
+  // against the direct sum.
   cf::core::Options o;
   o.upsampfac = 1.25;
-  o.point_cache = 2;
+  o.ntransf = 2;
   o.binsize = {16, 16, 1};
   vgpu::Device dev(2);
   const std::vector<std::int64_t> N{64, 64};
@@ -513,7 +547,7 @@ TEST(SpreadFastPath, Width20PlanBuildsTapsAndMatchesDirect) {
   }
   plan.set_points(M, x.data(), y.data(), nullptr);
   std::vector<std::complex<double>> f(ntot), want(ntot);
-  plan.execute(c.data(), f.data());
+  plan.execute(c.data(), f.data(), 1);
 
   const auto bd = plan.last_breakdown();
   EXPECT_GE(bd.tap_builds, 1u);

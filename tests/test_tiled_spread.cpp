@@ -1,12 +1,12 @@
-// Tile-owned atomic-free spread writeback (Options::tiled_spread):
+// Tile-owned atomic-free spread writeback (type-1 SM and GM-sort plans):
 //  * bitwise-identical execute output across worker counts {1, 2, hw,
 //    $CF_WORKERS} on the tiled path (the whole pipeline is atomic-free and
 //    every fine-grid cell has a single owner with a fixed merge order);
 //  * zero global atomics across an entire tiled type-1 execute, all-interior
 //    and boundary-heavy alike, with the halo-merge counter accounting for the
 //    traffic that replaced them;
-//  * parity against the atomic writeback at one worker across dims x methods
-//    x precisions x B in {1, 3};
+//  * parity against the atomic writeback (a Method::GM plan) at one worker
+//    across dims x methods x precisions x B in {1, 3};
 //  * graceful fallback: geometries failing the tile gate (padded extent
 //    exceeding nf) silently keep the atomic path and stay correct.
 #include <gtest/gtest.h>
@@ -14,12 +14,15 @@
 #include <algorithm>
 #include <cmath>
 #include <complex>
+#include <cstdlib>
 #include <numbers>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/plan.hpp"
+#include "cpu/cpu_plan.hpp"
 #include "cpu/direct.hpp"
 #include "test_env.hpp"
 #include "vgpu/device.hpp"
@@ -45,11 +48,9 @@ std::vector<std::int64_t> modes_for(int dim,
   return {16, 16, 12};
 }
 
-core::Options base_opts(int dim, core::Method method, int tiled, int B = 1) {
+core::Options base_opts(int dim, core::Method method, int B = 1) {
   core::Options o;
   o.method = method;
-  o.tiled_spread = tiled;
-  o.fastpath = cf::test::env_fastpath();
   o.upsampfac = cf::test::env_upsampfac();
   o.ntransf = B;
   if (dim == 1) o.binsize = {32, 1, 1};
@@ -122,7 +123,7 @@ std::vector<std::complex<T>> run_type1(std::size_t workers, const Problem<T>& p,
 std::vector<std::size_t> worker_counts() {
   std::vector<std::size_t> counts{1, 2,
                                   std::max(1u, std::thread::hardware_concurrency())};
-  const int env = cf::test::env_int("CF_WORKERS", 0);
+  const int env = cf::test::env_workers(0);
   if (env > 0) counts.push_back(static_cast<std::size_t>(env));
   std::sort(counts.begin(), counts.end());
   counts.erase(std::unique(counts.begin(), counts.end()), counts.end());
@@ -151,7 +152,7 @@ template <typename T>
 static void check_bitwise_across_workers(int dim, core::Method method, int B,
                                          double sigma = cf::test::env_upsampfac()) {
   const double tol = std::is_same_v<T, double> ? 1e-9 : 1e-5;
-  auto opts = base_opts(dim, method, /*tiled=*/1, B);
+  auto opts = base_opts(dim, method, B);
   opts.upsampfac = sigma;
   const auto modes = modes_for(dim, sigma);
   if (!method_available<T>(modes, tol, opts)) return;
@@ -203,7 +204,7 @@ TEST(TiledSpread, Sigma125ZeroGlobalAtomicsOnTiledExecute) {
   // 1.25 halos go through the same shell arena + merge schedule, never
   // through atomics.
   for (int dim = 2; dim <= 3; ++dim) {
-    auto opts = base_opts(dim, core::Method::GMSort, /*tiled=*/1);
+    auto opts = base_opts(dim, core::Method::GMSort);
     opts.upsampfac = 1.25;
     const auto modes = modes_for(dim, 1.25);
     vgpu::Device dev(static_cast<std::size_t>(cf::test::env_workers(2)));
@@ -235,7 +236,7 @@ TEST(TiledSpread, ShellOnlyArenaSmallerThanPaddedTileLayout) {
   // regime claim, and the sigma = 1.25 widths push the pad past half the bin
   // on test-sized grids (the dedicated Sigma125 suites cover that regime).
   for (int dim = 2; dim <= 3; ++dim) {
-    auto opts = base_opts(dim, core::Method::GMSort, /*tiled=*/1);
+    auto opts = base_opts(dim, core::Method::GMSort);
     opts.tile_chunk_cap = -1;
     opts.upsampfac = 2.0;
     vgpu::Device dev(2);
@@ -280,7 +281,7 @@ TEST(TiledSpread, ZeroGlobalAtomicsOnTiledExecute) {
   for (int dim = 2; dim <= 3; ++dim) {
     for (auto method : {core::Method::GMSort, core::Method::SM}) {
       for (int band : {0, 8}) {
-        const auto opts = base_opts(dim, method, 1);
+        const auto opts = base_opts(dim, method);
         // SM can't fit the padded bin everywhere (3D float at sigma = 1.25
         // exceeds shared memory); skip before the trial plan would throw.
         if (!method_available<float>(modes_for(dim), 1e-5, opts)) continue;
@@ -310,9 +311,10 @@ TEST(TiledSpread, ZeroGlobalAtomicsOnTiledExecute) {
 }
 
 TEST(TiledSpread, AtomicBaselineStillCountsAtomics) {
-  // Sanity check of the ablation axis: the same problem with tiled_spread = 0
-  // goes back to atomic writeback and the counter sees it.
-  const auto opts = base_opts(2, core::Method::GMSort, /*tiled=*/0);
+  // Sanity check of the counter: the same problem on a Method::GM plan (the
+  // atomic baseline by definition) writes back with atomics and the counter
+  // sees it.
+  const auto opts = base_opts(2, core::Method::GM);
   vgpu::Device probe(1);
   core::Plan<float> trial(probe, 1, modes_for(2), +1, 1e-5, opts);
   Problem<float> p(modes_for(2), 1500, 1, trial.fine_grid().nf, 0, 31);
@@ -334,8 +336,8 @@ static void check_parity(int dim, core::Method method, int B) {
   const double lim = std::is_same_v<T, double>
                          ? (cf::test::env_upsampfac() == 2.0 ? 1e-11 : 1e-9)
                          : 1e-4;
-  auto topts = base_opts(dim, method, 1, B);
-  auto aopts = base_opts(dim, method, 0, B);
+  auto topts = base_opts(dim, method, B);
+  auto aopts = base_opts(dim, core::Method::GM, B);  // atomic writeback
   if (!method_available<T>(modes_for(dim), tol, topts)) return;
   vgpu::Device probe(1);
   core::Plan<T> trial(probe, 1, modes_for(dim), +1, tol, topts);
@@ -362,7 +364,7 @@ TEST(TiledSpread, ParityVsAtomicWritebackOneWorker) {
 
 TEST(TiledSpread, TiledExecuteMatchesDirect) {
   for (int dim = 2; dim <= 3; ++dim) {
-    const auto opts = base_opts(dim, core::Method::GMSort, 1);
+    const auto opts = base_opts(dim, core::Method::GMSort);
     vgpu::Device probe(1);
     core::Plan<double> trial(probe, 1, modes_for(dim), +1, 1e-9, opts);
     Problem<double> p(modes_for(dim), 1200, 1, trial.fine_grid().nf, 0, 51 + dim);
@@ -381,17 +383,21 @@ TEST(TiledSpread, TiledExecuteMatchesDirect) {
 TEST(TiledSpread, ReSetPointsToZeroIsClean) {
   // A used plan re-pointed at an empty set must not retain the previous
   // subproblem/tile decomposition; execute must produce zeros, on both
-  // writebacks.
-  for (int tiled : {0, 1}) {
+  // writebacks: 2D runs tiled, and the 1D plan keeps the default 1024-point
+  // bin, which fails the tile gate and takes the atomic fallback.
+  for (int dim : {1, 2}) {
+    const int tiled = dim == 2;
     for (auto method : {core::Method::GMSort, core::Method::SM}) {
-      const auto opts = base_opts(2, method, tiled);
+      auto opts = base_opts(dim, method);
+      if (dim == 1) opts.binsize = {0, 0, 0};
       vgpu::Device dev(2);
-      core::Plan<float> plan(dev, 1, modes_for(2), +1, 1e-5, opts);
-      Problem<float> p(modes_for(2), 2000, 1, plan.fine_grid().nf, 0, 71);
+      core::Plan<float> plan(dev, 1, modes_for(dim), +1, 1e-5, opts);
+      Problem<float> p(modes_for(dim), 2000, 1, plan.fine_grid().nf, 0, 71);
       plan.set_points(p.M, p.x.data(), p.yp(), p.zp());
       std::vector<std::complex<float>> f(static_cast<std::size_t>(p.ntot));
       auto c = p.c;
       plan.execute(c.data(), f.data());
+      ASSERT_EQ(plan.last_breakdown().tiled, tiled) << core::method_name(method);
       plan.set_points(0, p.x.data(), p.yp(), p.zp());
       plan.execute(c.data(), f.data());
       for (const auto& v : f)
@@ -408,7 +414,6 @@ TEST(TiledSpread, GateFailureFallsBackToAtomicsAndStaysCorrect) {
   // decline (Breakdown::tiled == 0) and the atomic path must still be exact.
   core::Options opts;
   opts.method = core::Method::GMSort;
-  opts.fastpath = cf::test::env_fastpath();
   std::vector<std::int64_t> N{10, 12};
   vgpu::Device dev(2);
   core::Plan<double> plan(dev, 1, N, +1, 1e-9, opts);
@@ -429,6 +434,52 @@ TEST(TiledSpread, GateFailureFallsBackToAtomicsAndStaysCorrect) {
   std::vector<std::complex<double>> want(10 * 12);
   cf::cpu::direct_type1<double>(pool, x, y, {}, c, +1, N, want);
   EXPECT_LT(cf::cpu::rel_l2_error<double>(f, want), 1e-8);
+}
+
+// ---- CF_TILE_CHUNK parsing ---------------------------------------------------
+
+TEST(TiledSpread, MalformedTileChunkEnvIsReportedAndMeansAuto) {
+  // CF_TILE_CHUNK is parsed strictly by the one helper both the device plans
+  // and the CPU comparator use: "abc" or "2x" gets a one-line stderr
+  // diagnostic and leaves the cap at auto — the same split as unset.
+  const char* prev = std::getenv("CF_TILE_CHUNK");
+  const std::string saved = prev ? prev : "";
+  const auto modes = modes_for(2);
+  auto chunks = [&] {
+    vgpu::Device dev(1);
+    core::Plan<float> plan(dev, 1, modes, +1, 1e-5, base_opts(2, core::Method::GMSort));
+    Problem<float> p(modes, 3000, 1, plan.fine_grid().nf, 0, 17);
+    plan.set_points(p.M, p.x.data(), p.yp(), p.zp());
+    return plan.last_breakdown().tile_chunks;
+  };
+  ::unsetenv("CF_TILE_CHUNK");
+  const auto unset_chunks = chunks();
+  EXPECT_GT(unset_chunks, 0u);  // tiled, so the cap is consulted
+  ::setenv("CF_TILE_CHUNK", "1", 1);
+  EXPECT_GT(chunks(), unset_chunks);  // a valid value does reach the plan
+  for (const char* bad : {"abc", "2x"}) {
+    ::setenv("CF_TILE_CHUNK", bad, 1);
+    testing::internal::CaptureStderr();
+    const auto got = chunks();
+    EXPECT_EQ(cf::spread::tile_chunk_cap(0), 0) << bad;
+    EXPECT_EQ(cf::spread::tile_chunk_cap(7), 7) << bad;  // explicit caps ignore env
+    cf::ThreadPool pool(1);
+    cf::cpu::CpuPlan<float> cpu(pool, 1, modes, +1, 1e-5);
+    Problem<float> p(modes, 3000, 1, cpu.fine_grid().nf, 0, 17);
+    cpu.set_points(p.M, p.x.data(), p.yp(), p.zp());
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(got, unset_chunks) << bad;
+    // Device plan, auto-cap helper call, and CPU plan each report it once.
+    std::size_t reports = 0;
+    for (auto at = err.find("CF_TILE_CHUNK"); at != std::string::npos;
+         at = err.find("CF_TILE_CHUNK", at + 1))
+      ++reports;
+    EXPECT_EQ(reports, 3u) << bad << ": " << err;
+  }
+  if (prev)
+    ::setenv("CF_TILE_CHUNK", saved.c_str(), 1);
+  else
+    ::unsetenv("CF_TILE_CHUNK");
 }
 
 // ---- adversarial clustered distributions (chunked scheduler) -----------------
@@ -474,7 +525,7 @@ Problem<T> cluster_problem(int dim, int kind, std::size_t M,
 template <typename T>
 void check_cluster(int dim, int kind) {
   const double tol = std::is_same_v<T, double> ? 1e-9 : 1e-5;
-  const auto opts0 = base_opts(dim, core::Method::GMSort, /*tiled=*/1);
+  const auto opts0 = base_opts(dim, core::Method::GMSort);
   if (!method_available<T>(modes_for(dim), tol, opts0)) return;
   vgpu::Device probe(1);
   core::Plan<T> trial(probe, 1, modes_for(dim), +1, tol, opts0);

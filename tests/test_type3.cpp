@@ -246,19 +246,6 @@ TEST(Type3, HornerKernelAgrees) {
   EXPECT_LT(e_horner, 10 * std::max(e_direct, 1e-9));
 }
 
-TEST(Type3, ScalarFallbackAgrees) {
-  // fastpath=0 must route the type-3 pipeline through the runtime-width
-  // scalar kernels and agree with the width-specialized default.
-  T3Problem p(2, 700, 600, 2.5, 12.0, 17);
-  core::Options scalar;
-  scalar.fastpath = 0;
-  const double e_fast = run_type3<double>(2, p, +1, 1e-8);
-  const double e_scalar = run_type3<double>(2, p, +1, 1e-8, scalar);
-  EXPECT_LT(e_fast, 1e-6);
-  EXPECT_LT(e_scalar, 1e-6);
-  EXPECT_NEAR(e_fast, e_scalar, 1e-7);
-}
-
 TEST(Type3, GmMethodAlsoWorks) {
   T3Problem p(2, 700, 600, 2.5, 12.0, 16);
   core::Options gm;
