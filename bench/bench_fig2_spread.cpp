@@ -16,7 +16,9 @@
 // scalar fallback (KernelParams::fast = false) with and without the Horner
 // kernel table; batched vs serial executes; sigma = 2 vs 1.25; the tile-owned
 // writeback against the atomic one at the spread layer; the chunked tile
-// scheduler on clustered points; and worker-count scaling.
+// scheduler on clustered points; and worker-count scaling. One section runs
+// the M-TIP merge geometry instead (3D fp64, w = 13, Ewald slices): the
+// colored tiled writeback against the atomic GM-sort one.
 //
 // All rows are also emitted as machine-readable JSON (--json <path>, default
 // BENCH_spread.json) so the perf trajectory is tracked across PRs.
@@ -31,7 +33,9 @@
 
 #include "bench_util.hpp"
 #include "common/cli.hpp"
+#include "common/rng.hpp"
 #include "core/plan.hpp"
+#include "mtip/geometry.hpp"
 #include "spreadinterp/binsort.hpp"
 #include "spreadinterp/spread.hpp"
 #include "vgpu/buffer.hpp"
@@ -451,8 +455,7 @@ void run_tiled(const Tracked3d& t3, std::size_t M, int reps, bench::JsonReport& 
     const double atomic_cache_s = taps_s + tc.seconds();
     tc.reset();
     spread::TileSet<float> tiles;
-    spread::build_tile_set(dev, grid, bins, kp.w, sort, 1, spread::kTileArenaMaxBytes,
-                           tiles);
+    spread::build_tile_set(dev, grid, bins, kp.w, sort, 1, tiles);
     const double tiled_cache_s = taps_s + tc.seconds();
     if (!tiles.usable) {
       std::printf("%s: tile gate declined this geometry; skipping.\n",
@@ -491,8 +494,7 @@ void run_tiled(const Tracked3d& t3, std::size_t M, int reps, bench::JsonReport& 
                            {2, f2.data()}}) {
       vgpu::Device devw(wks);
       spread::TileSet<float> tw;
-      spread::build_tile_set(devw, grid, bins, kp.w, sort, 1, spread::kTileArenaMaxBytes,
-                             tw);
+      spread::build_tile_set(devw, grid, bins, kp.w, sort, 1, tw);
       spread::spread_tiled_batch<float>(devw, grid, bins, kp, pts, wl.c.data(), fp, sort,
                                         tw, tiled_taps, 1, M, G);
       bitwise = bitwise && tw.usable;
@@ -536,6 +538,118 @@ void run_tiled(const Tracked3d& t3, std::size_t M, int reps, bench::JsonReport& 
             .field("chunk_steals", steals)
             .field("bitwise_across_workers", static_cast<std::int64_t>(bitwise));
     }
+  }
+  t.print();
+}
+
+/// The M-TIP merge geometry at the layer (paper Sec. V, Table II): 3D fp64
+/// type-1 spreading at tol 1e-12 (w = 13) onto nf = 162 of 24 Ewald-slice
+/// images (M = 24576, origin-clustered), on the width-aware tiles a GM-sort
+/// plan picks. The tiled colored writeback runs against the atomic GM-sort
+/// writeback (interior-first partition), with the tile colors, the tiled
+/// scratch bytes, the steals and a bitwise-across-workers check.
+void run_tiled_mtip(int reps, bench::JsonReport& json) {
+  const double tol = 1e-12;
+  const std::vector<std::int64_t> N{81, 81, 81};
+  mtip::DetectorSpec det;  // 32 x 32 pixels per image
+  std::vector<double> x, y, z;
+  for (const auto& R : mtip::random_rotations(24, 42)) mtip::ewald_slice_points(R, det, x, y, z);
+  const std::size_t M = x.size();
+  vgpu::Device dev;
+  const core::Plan<double> shape(dev, 1, N, +1, tol);
+  const spread::GridSpec grid = shape.fine_grid();
+  const spread::BinSpec bins = shape.bins();
+  const auto kp = spread::KernelParams<double>::from_width(shape.kernel_width());
+  const auto G = static_cast<std::size_t>(grid.total());
+  std::vector<double> xg(M), yg(M), zg(M);
+  std::vector<std::complex<double>> c(M);
+  Rng rng(7);
+  for (std::size_t j = 0; j < M; ++j) {
+    xg[j] = spread::fold_rescale(x[j], grid.nf[0]);
+    yg[j] = spread::fold_rescale(y[j], grid.nf[1]);
+    zg[j] = spread::fold_rescale(z[j], grid.nf[2]);
+    c[j] = {rng.uniform(-1, 1), rng.uniform(-1, 1)};
+  }
+  const spread::NuPoints<double> pts{xg.data(), yg.data(), zg.data(), M};
+  spread::DeviceSort sort;
+  spread::bin_sort<double>(dev, grid, bins, xg.data(), yg.data(), zg.data(), M, sort);
+  spread::InteriorPartition part;
+  spread::classify_interior(dev, grid, kp, pts, sort.order.data(), part);
+  spread::TileSet<double> tiles;
+  Timer tc;
+  spread::build_tile_set(dev, grid, bins, kp.w, sort, 1, tiles);
+  const double tile_build_s = tc.seconds();
+
+  std::printf("\n--- M-TIP merge ablation: 3D spread, 24 Ewald slices, M=%zu, tol=%g, "
+              "fp64, w=%d, nf=%lld, %dx%dx%d tiles, tiled vs atomic ---\n",
+              M, tol, kp.w, static_cast<long long>(grid.nf[0]), bins.m[0], bins.m[1],
+              bins.m[2]);
+  Table t({"writeback", "spread [s]", "atomics/pt", "fw adds/pt", "colors", "scratch MB",
+           "spread spdup"});
+  vgpu::device_buffer<std::complex<double>> fw(dev, G);
+  std::uint64_t steals = 0;
+  auto spread_atomic = [&] {
+    vgpu::fill(dev, fw.span(), std::complex<double>(0, 0));
+    auto ipts = pts;
+    ipts.n_nowrap = part.n_interior;
+    spread::spread_gm_batch<double>(dev, grid, kp, ipts, c.data(), fw.data(),
+                                    part.order.data(), 1, M, G);
+  };
+  auto spread_tiled = [&] {
+    vgpu::fill(dev, fw.span(), std::complex<double>(0, 0));
+    steals = spread::spread_tiled_batch<double>(dev, grid, bins, kp, pts, c.data(),
+                                                fw.data(), sort, tiles, nullptr, 1, M, G);
+  };
+  bool bitwise = tiles.usable;
+  std::vector<std::complex<double>> f1(G), f2(G);
+  for (auto [wks, fp] : {std::pair<std::size_t, std::complex<double>*>{1, f1.data()},
+                         {2, f2.data()}}) {
+    vgpu::Device devw(wks);
+    spread::TileSet<double> tw;
+    bitwise = spread::build_tile_set(devw, grid, bins, kp.w, sort, 1, tw) && bitwise;
+    spread::spread_tiled_batch<double>(devw, grid, bins, kp, pts, c.data(), fp, sort, tw,
+                                       nullptr, 1, M, G);
+  }
+  for (std::size_t i = 0; i < G && bitwise; ++i) bitwise = f1[i] == f2[i];
+
+  double base_spread = 0;
+  for (int tiled : {0, 1}) {
+    const double spread_s =
+        tiled ? time_best(spread_tiled, reps) : time_best(spread_atomic, reps);
+    dev.counters.reset();
+    tiled ? spread_tiled() : spread_atomic();
+    const std::uint64_t atomics = dev.counters.global_atomics.load();
+    const std::uint64_t adds = dev.counters.tile_merge_ops.load();
+    if (!tiled) base_spread = spread_s;
+    t.add_row({tiled ? "tiled" : "atomic", Table::fmt(spread_s, 3),
+               Table::fmt(double(atomics) / double(M), 1),
+               Table::fmt(double(adds) / double(M), 1),
+               tiled ? std::to_string(tiles.n_colors) : "-",
+               tiled ? Table::fmt(double(tiles.arena_bytes) / 1048576.0, 1) : "-",
+               Table::fmt(base_spread / spread_s, 2) + "x"});
+    auto& rec = json.add();
+    rec.field("bench", "mtip3d")
+        .field("dist", "ewald")
+        .field("dim", 3)
+        .field("M", M)
+        .field("tol", tol)
+        .field("width", kp.w)
+        .field("nf", static_cast<std::int64_t>(grid.nf[0]))
+        .field("tile", static_cast<std::int64_t>(bins.m[0]))
+        .field("method", "GM-sort")
+        .field("path", tiled ? "tiled" : "atomic")
+        .field("spread_s", spread_s)
+        .field("global_atomics", atomics)
+        .field("tile_merge_ops", adds)
+        .field("spread_speedup_vs_atomic", base_spread / spread_s);
+    if (tiled)
+      rec.field("colors", static_cast<std::size_t>(tiles.n_colors))
+          .field("tiles", static_cast<std::size_t>(tiles.n_active))
+          .field("tile_chunks", static_cast<std::size_t>(tiles.n_chunks))
+          .field("arena_bytes", tiles.arena_bytes)
+          .field("tile_build_s", tile_build_s)
+          .field("chunk_steals", steals)
+          .field("bitwise_across_workers", static_cast<std::int64_t>(bitwise));
   }
   t.print();
 }
@@ -728,6 +842,7 @@ int main(int argc, char** argv) {
   run_sigma(dev, tracked, mfast, reps, json);
   run_tiled(tracked, mfast, reps, json);
   run_tiled_cluster(tracked, mfast, reps, json);
+  run_tiled_mtip(reps, json);
   run_workers(tracked, mfast, reps, json);
 
   if (json.write(json_path))

@@ -1,5 +1,7 @@
 #include "core/plan.hpp"
 
+#include <atomic>
+#include <cmath>
 #include <stdexcept>
 
 #include "common/timer.hpp"
@@ -32,6 +34,18 @@ spread::GridSpec make_grid(std::span<const std::int64_t> nmodes, double upsampfa
         fft::next235(static_cast<std::size_t>(std::max<std::int64_t>(lower, 2 * w))));
   }
   return g;
+}
+
+/// Tile edge for the tiled GM-sort engine on one axis: about 4*pad cells (never
+/// below the paper's bin edge, 32 in 2D and 16 in 3D), so the halo stays a
+/// modest share of the padded tile, with the tile count rounded to an even
+/// number so that, with m >= 2*pad, two colors per axis suffice. E.g. nf 162
+/// at w = 13 (pad 7): 162 / 28 = 5.8 -> 6 tiles of 27.
+int tile_edge(std::int64_t nf, int dim, int w) {
+  const int pad = (w + 1) / 2;
+  const double target = std::max(dim == 2 ? 32.0 : 16.0, 4.0 * pad);
+  const std::int64_t n = 2 * std::max<std::int64_t>(1, std::llround(double(nf) / target / 2));
+  return static_cast<int>((nf + n - 1) / n);
 }
 
 std::vector<std::size_t> fft_dims(const spread::GridSpec& g) {
@@ -89,6 +103,18 @@ Plan<T>::Plan(vgpu::Device& dev, int type, std::span<const std::int64_t> nmodes,
   }
   need_sort_ = (method_ == Method::GMSort || method_ == Method::SM);
 
+  // Width-aware tiles for the tiled GM-sort spread (see the header notes). A
+  // shape that fails the geometry gate keeps the paper's bins.
+  if (type_ == 1 && method_ == Method::GMSort && opts_.binsize[0] <= 0 && grid_.dim >= 2) {
+    std::array<int, 3> tsz{1, 1, 1};
+    bool fits = true;
+    for (int d = 0; d < grid_.dim; ++d) {
+      tsz[d] = tile_edge(grid_.nf[d], grid_.dim, kp_.w);
+      fits = fits && tsz[d] + 2 * ((kp_.w + 1) / 2) <= grid_.nf[d];
+    }
+    if (fits) bins_ = spread::BinSpec::make(grid_, tsz);
+  }
+
   // One fine-grid plane per stacked vector, so a batched execute spreads,
   // transforms, and deconvolves the whole ntransf stack without reusing (and
   // thus serializing on) a single plane.
@@ -137,11 +163,30 @@ void Plan<T>::set_points(std::size_t M, const T* x, const T* y, const T* z) {
   if (grid_.dim >= 3) zg_ = vgpu::device_buffer<T>(*dev_, M);
   const std::int64_t nf0 = grid_.nf[0], nf1 = grid_.nf[1], nf2 = grid_.nf[2];
   const int dim = grid_.dim;
+  // The fold pass also flags non-finite coordinates: a NaN or Inf would fold
+  // to NaN and then select a bin through an undefined float -> int cast.
+  std::atomic<bool> nonfinite{false};
   dev_->launch_items(M, 256, [&](std::size_t j, vgpu::BlockCtx&) {
+    bool ok = std::isfinite(x[j]);
     xg_[j] = spread::fold_rescale(x[j], nf0);
-    if (dim >= 2) yg_[j] = spread::fold_rescale(y[j], nf1);
-    if (dim >= 3) zg_[j] = spread::fold_rescale(z[j], nf2);
+    if (dim >= 2) {
+      ok = ok && std::isfinite(y[j]);
+      yg_[j] = spread::fold_rescale(y[j], nf1);
+    }
+    if (dim >= 3) {
+      ok = ok && std::isfinite(z[j]);
+      zg_[j] = spread::fold_rescale(z[j], nf2);
+    }
+    if (!ok) nonfinite.store(true, std::memory_order_relaxed);
   });
+  if (nonfinite.load(std::memory_order_relaxed)) {
+    M_ = 0;
+    xg_ = vgpu::device_buffer<T>{};
+    yg_ = vgpu::device_buffer<T>{};
+    zg_ = vgpu::device_buffer<T>{};
+    bd_ = Breakdown{};
+    throw std::invalid_argument("set_points: non-finite coordinate");
+  }
   if (need_sort_)
     spread::bin_sort(*dev_, grid_, bins_, xg_.data(), dim >= 2 ? yg_.data() : nullptr,
                      dim >= 3 ? zg_.data() : nullptr, M, sort_);
@@ -157,8 +202,8 @@ void Plan<T>::set_points(std::size_t M, const T* x, const T* y, const T* z) {
     const std::uint32_t* order = need_sort_ ? sort_.order.data() : nullptr;
     if (type_ == 1 && need_sort_)
       spread::build_tile_set(*dev_, grid_, bins_, kp_.w, sort_,
-                             std::max(1, opts_.ntransf), spread::kTileArenaMaxBytes,
-                             cache_.tiles, spread::tile_chunk_cap(opts_.tile_chunk_cap));
+                             std::max(1, opts_.ntransf), cache_.tiles,
+                             spread::tile_chunk_cap(opts_.tile_chunk_cap));
     // SM always consumes a tap table. The tiled GM-sort engine can stream
     // the same table instead of evaluating taps inline (bitwise-identical
     // either way — see spread_tiled.cpp); a batched plan (ntransf > 1, e.g.
@@ -190,7 +235,7 @@ void Plan<T>::set_points(std::size_t M, const T* x, const T* y, const T* z) {
   bd_.interior_points = cache_.interior.n_interior;
   bd_.boundary_points = cache_.interior.n_boundary;
   bd_.tiles_active = cache_.tiles.n_active;
-  bd_.tiles_merge = cache_.tiles.n_merge;
+  bd_.tile_colors = cache_.tiles.n_colors;
   bd_.arena_bytes = cache_.tiles.usable ? cache_.tiles.arena_bytes : 0;
   bd_.tile_chunks = cache_.tiles.usable ? cache_.tiles.n_chunks : 0;
   bd_.max_tile_points = cache_.tiles.usable ? cache_.tiles.max_tile_points : 0;
@@ -203,6 +248,7 @@ void Plan<T>::spread_step(const cplx* c, int B, Breakdown& bd) {
   vgpu::fill(*dev_, std::span(fw_.data(), static_cast<std::size_t>(B) * fwstride),
              cplx(0, 0));
   bd.tiled = 0;
+  bd.atomic_reason = AtomicReason::None;
   switch (method_) {
     case Method::GM: {
       // GM stays on the atomic path by definition (the unsorted baseline);
@@ -212,6 +258,7 @@ void Plan<T>::spread_step(const cplx* c, int B, Breakdown& bd) {
       pts.n_nowrap = nowrap;
       spread::spread_gm_batch<T>(*dev_, grid_, kp_, pts, c, fw_.data(), order, B, M_,
                                  fwstride);
+      bd.atomic_reason = AtomicReason::MethodGM;
       break;
     }
     case Method::GMSort:
@@ -228,6 +275,7 @@ void Plan<T>::spread_step(const cplx* c, int B, Breakdown& bd) {
         pts.n_nowrap = nowrap;
         spread::spread_gm_batch<T>(*dev_, grid_, kp_, pts, c, fw_.data(), order, B, M_,
                                    fwstride);
+        bd.atomic_reason = AtomicReason::TileGate;
       }
       break;
     case Method::SM:
@@ -239,11 +287,14 @@ void Plan<T>::spread_step(const cplx* c, int B, Breakdown& bd) {
       } else {
         spread::spread_sm_batch<T>(*dev_, grid_, bins_, kp_, pts, c, fw_.data(), sort_,
                                    subs_, opts_.msub, cache_.taps, B, M_, fwstride);
+        bd.atomic_reason = AtomicReason::TileGate;
       }
       break;
     default:
       throw std::logic_error("unresolved method");
   }
+  // A batch beyond the planes set_points sized grows the tile scratch.
+  if (bd.tiled) bd.arena_bytes = cache_.tiles.arena_bytes;
 }
 
 template <typename T>

@@ -17,13 +17,21 @@
 // stacked vectors run every stage once, and B = 1 is simply the same pipeline
 // at batch size one. All point-dependent precomputation — fold-rescale,
 // bin-sort, the SM tap table, the interior-first iteration partition, and
-// the tile-ownership set of the atomic-free spread writeback — lives in a
-// plan-resident PointCache built by set_points and reused by every execute
-// (the paper's setpts amortization argument). Each plan runs one spread
-// pipeline: type-1 SM and GM-sort spreading uses the tile-owned writeback
-// (ZERO global atomics; the whole execute is bitwise-deterministic at any
-// worker count) and falls back to atomics only when the tile geometry gate
-// or arena cap fails; GM is the atomic baseline by definition.
+// the tile coloring and schedule of the atomic-free spread writeback — lives
+// in a plan-resident PointCache built by set_points and reused by every
+// execute (the paper's setpts amortization argument). Each plan runs one
+// spread pipeline: type-1 SM and GM-sort spreading uses the colored
+// tile-owned writeback (ZERO global atomics; the whole execute is
+// bitwise-deterministic at any worker count) and falls back to atomics only
+// when the tile geometry gate fails (a padded tile wider than the fine grid);
+// GM is the atomic baseline by definition. Breakdown::atomic_reason says which
+// of the two sent a type-1 spread to atomics.
+//
+// Tile shape: SM keeps the paper's shared-memory bin (32x32 / 16x16x2). A
+// type-1 GM-sort plan with Options::binsize unset tiles 2D/3D grids by
+// kernel width instead (see Plan::Plan): the tiled engine's scratch lives in
+// global memory, so the 48 KiB budget that shapes the SM bin does not bind
+// it, and the paper's 2-cell z extent would be mostly halo at wide kernels.
 //
 // Usage:
 //   vgpu::Device dev;
@@ -63,7 +71,9 @@ const char* method_name(Method m);
 struct Options {
   Method method = Method::Auto;
   std::uint32_t msub = 1024;            ///< max subproblem size (paper Rmk. 1)
-  std::array<int, 3> binsize{0, 0, 0};  ///< 0 = paper defaults (32x32 / 16x16x2)
+  std::array<int, 3> binsize{0, 0, 0};  ///< 0 = paper defaults (32x32 / 16x16x2);
+                                        ///< type-1 GM-sort 2D/3D plans size
+                                        ///< their tiles by kernel width
   double upsampfac = 2.0;               ///< fine-grid sigma: 2.0 (paper) or 1.25
                                         ///< (low-upsampling: ~2x 3D volume
                                         ///< instead of 8x, wider kernel)
@@ -82,6 +92,13 @@ struct Options {
                            ///< stays bitwise-identical at any worker count for
                            ///< a FIXED cap (different caps re-associate the
                            ///< per-tile sums and agree to rounding).
+};
+
+/// Why a type-1 spread ran on the atomic writeback instead of the tiled one.
+enum class AtomicReason {
+  None,       ///< tiled (or no spread ran: type 2, no points)
+  MethodGM,   ///< Method::GM was requested: the atomic baseline by definition
+  TileGate,   ///< the geometry gate failed: a padded tile is wider than nf
 };
 
 /// Stage timings (seconds) and PointCache statistics. execute() returns a
@@ -104,12 +121,14 @@ struct Breakdown {
   std::size_t interior_points = 0;  ///< no-wrap-classified points (last set_points)
   std::size_t boundary_points = 0;  ///< wrap-path points (last set_points)
   int tiled = 0;  ///< last execute's spread used the tile-owned writeback
+  AtomicReason atomic_reason = AtomicReason::None;  ///< why the last type-1
+                                                    ///< spread ran atomic
   std::size_t tiles_active = 0;  ///< tiles holding points (last set_points)
-  std::size_t tiles_merge = 0;   ///< tiles receiving halo merges (last set_points)
-  std::size_t arena_bytes = 0;   ///< tiled-spread arena allocation: shell-only
-                                 ///< halo slots + per-worker padded scratch
-                                 ///< + split-chunk planes
-                                 ///< (last set_points; 0 on atomic fallback)
+  std::size_t tile_colors = 0;   ///< colors of the tiled writeback = launches
+                                 ///< per spread (last set_points)
+  std::size_t arena_bytes = 0;   ///< tiled-spread scratch: per-worker padded
+                                 ///< tiles + one color's split-chunk planes
+                                 ///< (0 on the atomic writeback)
   std::size_t tile_chunks = 0;   ///< (tile, chunk) work items in the tiled
                                  ///< spread schedule (last set_points;
                                  ///< == tiles_active when nothing split)
@@ -141,6 +160,7 @@ class Plan {
   std::int64_t modes_total() const { return N_[0] * N_[1] * N_[2]; }
   std::array<std::int64_t, 3> modes() const { return N_; }
   const spread::GridSpec& fine_grid() const { return grid_; }
+  const spread::BinSpec& bins() const { return bins_; }  ///< sort bins = spread tiles
   std::size_t npoints() const { return M_; }
   vgpu::Device& device() const { return *dev_; }
 
@@ -154,6 +174,8 @@ class Plan {
   /// Performs fold-rescale, the GM-sort/SM bin-sort, and the PointCache build
   /// (tile set, tap table, interior classification) whose cost is amortized
   /// over repeated execute() calls. Invalidates any previous PointCache.
+  /// Throws std::invalid_argument on a NaN or infinite coordinate (checked
+  /// inside the fold-rescale pass) and leaves the plan with no points.
   void set_points(std::size_t M, const T* x, const T* y, const T* z);
 
   /// Runs the transform: type 1 reads c (length M) and writes f (modes);

@@ -14,16 +14,21 @@ namespace cf::core {
 
 namespace {
 
-/// Center and half-width of a coordinate array (host-side reduction).
+/// Center and half-width of a coordinate array (host-side reduction). Returns
+/// false if any coordinate is NaN or infinite: the geometry derived from the
+/// range would be meaningless (an infinite half-width sizes an infinite grid).
 template <typename T>
-void center_halfwidth(const T* v, std::size_t n, double& center, double& half) {
+bool center_halfwidth(const T* v, std::size_t n, double& center, double& half) {
   double lo = v[0], hi = v[0];
-  for (std::size_t i = 1; i < n; ++i) {
+  bool finite = true;
+  for (std::size_t i = 0; i < n; ++i) {
+    finite = finite && std::isfinite(v[i]);
     lo = std::min(lo, double(v[i]));
     hi = std::max(hi, double(v[i]));
   }
   center = 0.5 * (lo + hi);
   half = std::max(0.5 * (hi - lo), 1e-6);  // clamp degenerate clouds
+  return finite;
 }
 
 }  // namespace
@@ -73,8 +78,11 @@ void Type3Plan<T>::set_points(std::size_t M, const T* x, const T* y, const T* z,
   double Sw[3] = {0, 0, 0};
   for (int d = 0; d < dim_; ++d) {
     double X;
-    center_halfwidth(xs[d], M, xc_[d], X);
-    center_halfwidth(ss[d], K, sc_[d], Sw[d]);
+    if (!center_halfwidth(xs[d], M, xc_[d], X) ||
+        !center_halfwidth(ss[d], K, sc_[d], Sw[d])) {
+      M_ = 0;  // the plan holds no points until a valid set_points
+      throw std::invalid_argument("Type3Plan: non-finite coordinate");
+    }
     gam_[d] = sigma_s * X / std::numbers::pi;
     const double band = 2.0 * gam_[d] * Sw[d] + w;  // modes the targets touch
     grid_.nf[d] = static_cast<std::int64_t>(fft::next235(static_cast<std::size_t>(
@@ -187,8 +195,7 @@ void Type3Plan<T>::set_points(std::size_t M, const T* x, const T* y, const T* z,
   // Tile-ownership set for the atomic-free source spread (SM and GM-sort).
   src_tiles_ = spread::TileSet<T>{};
   if (method_ == Method::SM || method_ == Method::GMSort)
-    spread::build_tile_set(*dev_, grid_, bins_, kp_.w, src_sort_, 1,
-                           spread::kTileArenaMaxBytes, src_tiles_);
+    spread::build_tile_set(*dev_, grid_, bins_, kp_.w, src_sort_, 1, src_tiles_);
   subs_ = spread::SubprobSetup{};
   if (method_ == Method::SM) {
     // Subproblems only matter on the atomic fallback (the tile engine works

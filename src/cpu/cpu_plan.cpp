@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <stdexcept>
 #include <thread>
 
@@ -32,6 +33,79 @@ inline void atomic_add_cplx(std::complex<T>* p, std::complex<T> v) {
   T* f = reinterpret_cast<T*>(p);
   std::atomic_ref<T>(f[0]).fetch_add(v.real(), std::memory_order_relaxed);
   std::atomic_ref<T>(f[1]).fetch_add(v.imag(), std::memory_order_relaxed);
+}
+
+/// Byte cap on the comparator's per-tile arena; a spread whose active tiles
+/// would need more falls back to the atomic writeback.
+constexpr std::size_t kTileArenaMaxBytes = std::size_t(512) << 20;
+
+// ---- halo-merge neighbor enumeration (the comparator's tile engine) --------
+//
+// The comparator keeps the whole padded tile of every active bin and merges
+// each tile's halo into the neighboring cores in a second pass. These helpers
+// enumerate, per axis, the tiles whose padded extent [q*m - pad, q*m + m + pad)
+// overlaps an owner's core under the periodic wrap. They require
+// p = m + 2*pad <= nf, so each (tile, cell) pair has a unique scratch
+// coordinate s = wrap(g - (q*m - pad)).
+
+/// One contiguous run where the owner's core cells g = g0 .. g0+len-1 read
+/// tile-local scratch coordinates s = s0 .. s0+len-1 of a neighboring tile.
+struct TileSeg {
+  std::int64_t g0, s0, len;
+};
+
+/// Computes the (at most 2) segments of the core interval [c0, c0+ce) that
+/// fall inside the padded extent [qbase - pad, qbase + p - pad) of the tile
+/// based at `qbase`, under the periodic wrap. Requires p <= nf.
+inline int tile_overlap_segs(std::int64_t c0, std::int64_t ce, std::int64_t qbase,
+                             std::int64_t pad, std::int64_t p, std::int64_t nf,
+                             TileSeg segs[2]) {
+  int n = 0;
+  const std::int64_t s0 = spread::wrap_index(c0 - qbase + pad, nf);
+  const std::int64_t len1 = std::min(ce, nf - s0);  // before s wraps past nf
+  if (s0 < p) segs[n++] = {c0, s0, std::min(len1, p - s0)};
+  const std::int64_t len2 = ce - len1;
+  if (len2 > 0) segs[n++] = {c0 + len1, 0, std::min(len2, p)};
+  return n;
+}
+
+/// Per-axis neighbor entry: physical tile index q on this axis plus the
+/// overlap segments of the owner's core against q's padded extent.
+struct TileNbr {
+  std::int64_t q;
+  TileSeg segs[2];
+  int nsegs;
+};
+
+/// Window bound: pad <= (kMaxWidth+1)/2 = 12 and m >= 1 give at most
+/// 2*(1 + ceil(pad/m)) + 1 <= 27 candidate tiles per axis (fewer when nbins
+/// is small, since the all-tiles branch caps at nbins <= 27).
+inline constexpr int kMaxTileNbrs = 28;
+
+/// Enumerates, in a FIXED canonical order, the tiles on one axis whose padded
+/// extent overlaps the core of bin `bc`, with the overlap segments. The order
+/// is what makes the comparator's halo merge deterministic: every owner sums
+/// its neighbor contributions in exactly this sequence regardless of pool
+/// scheduling.
+inline int tile_axis_nbrs(std::int64_t bc, std::int64_t m, std::int64_t nbins,
+                          std::int64_t nf, std::int64_t pad, TileNbr out[kMaxTileNbrs]) {
+  const std::int64_t p = m + 2 * pad;
+  std::int64_t c0, ce;
+  spread::detail::tile_core(bc, m, nf, c0, ce);
+  const std::int64_t K = 1 + (pad + m - 1) / m;  // K*m >= m + pad covers the reach
+  int n = 0;
+  auto push = [&](std::int64_t q) {
+    TileNbr e;
+    e.q = q;
+    e.nsegs = tile_overlap_segs(c0, ce, q * m, pad, p, nf, e.segs);
+    if (e.nsegs > 0) out[n++] = e;
+  };
+  if (2 * K + 1 >= nbins) {
+    for (std::int64_t q = 0; q < nbins; ++q) push(q);
+  } else {
+    for (std::int64_t od = -K; od <= K; ++od) push(spread::wrap_index(bc + od, nbins));
+  }
+  return n;
 }
 
 }  // namespace
@@ -85,11 +159,30 @@ void CpuPlan<T>::set_points(std::size_t M, const T* x, const T* y, const T* z) {
   xg_.resize(M);
   if (dim >= 2) yg_.resize(M);
   if (dim >= 3) zg_.resize(M);
+  std::atomic<bool> nonfinite{false};
   pool_->parallel_for(0, M, [&](std::size_t j, std::size_t) {
+    bool ok = std::isfinite(x[j]);
     xg_[j] = spread::fold_rescale(x[j], grid_.nf[0]);
-    if (dim >= 2) yg_[j] = spread::fold_rescale(y[j], grid_.nf[1]);
-    if (dim >= 3) zg_[j] = spread::fold_rescale(z[j], grid_.nf[2]);
+    if (dim >= 2) {
+      ok = ok && std::isfinite(y[j]);
+      yg_[j] = spread::fold_rescale(y[j], grid_.nf[1]);
+    }
+    if (dim >= 3) {
+      ok = ok && std::isfinite(z[j]);
+      zg_[j] = spread::fold_rescale(z[j], grid_.nf[2]);
+    }
+    if (!ok) nonfinite.store(true, std::memory_order_relaxed);
   }, 1024);
+  if (nonfinite.load(std::memory_order_relaxed)) {
+    // A NaN/Inf folds to NaN, whose bin index would be an undefined cast.
+    M_ = 0;
+    xg_.clear();
+    yg_.clear();
+    zg_.clear();
+    order_.clear();
+    bd_ = CpuBreakdown{};
+    throw std::invalid_argument("set_points: non-finite coordinate");
+  }
 
   // Counting sort by bin (parallel histogram with atomics, serial scan).
   const std::size_t nbins = static_cast<std::size_t>(bins_.total_bins());
@@ -157,20 +250,20 @@ void CpuPlan<T>::build_tile_cache() {
       tile_slot_of_[b] = static_cast<std::uint32_t>(tile_active_.size());
       tile_active_.push_back(static_cast<std::uint32_t>(b));
     }
-  // Chunk the batch like the device's build_tile_set: hold as many planes
-  // per tile as the byte cap allows (at least one, else atomic fallback).
+  // Chunk the batch: hold as many planes per tile as the byte cap allows (at
+  // least one, else atomic fallback).
   const std::size_t B = static_cast<std::size_t>(std::max(1, opts_.ntransf));
   const std::size_t per_plane = tile_active_.size() * padded * sizeof(cplx);
-  if (per_plane > spread::kTileArenaMaxBytes) {
+  if (per_plane > kTileArenaMaxBytes) {
     tile_active_.clear();
     tile_slot_of_.clear();
     return;  // bins too large for the arena: atomic fallback
   }
   tile_nb_ = static_cast<int>(
-      std::min(B, std::max<std::size_t>(1, spread::kTileArenaMaxBytes / per_plane)));
+      std::min(B, std::max<std::size_t>(1, kTileArenaMaxBytes / per_plane)));
   tile_arena_.resize(tile_active_.size() * padded * tile_nb_);
 
-  // Canonical chunk split (the CPU mirror of build_tile_set's): cap
+  // Canonical chunk split (the same rule as the device's build_tile_set): cap
   // resolution, balanced per-bin cuts, and the largest-first schedule are all
   // pure functions of the points — never of the pool size — so the summation
   // split (and with it the output bits) is identical at every pool size.
@@ -316,7 +409,7 @@ void CpuPlan<T>::spread_sorted(const cplx* c, int B) {
       auto merge_rows = [&](auto DC) {
         constexpr int DIM = decltype(DC)::value;
         spread::detail::for_padded_rows<DIM, T>(
-            grid_, p, delta, 0, nrows,
+            grid_, p, p, delta, 0, nrows,
             [&](std::size_t src, std::int64_t dst, std::int64_t run) {
               for (int bb = 0; bb < B; ++bb) {
                 const cplx* bufb = buf.data() + padded * bb;
@@ -338,12 +431,13 @@ void CpuPlan<T>::spread_sorted(const cplx* c, int B) {
   if (!spread::detail::dispatch_width(kp_.w, run)) run(std::integral_constant<int, 0>{});
 }
 
-// Tile-owned spread (the CPU mirror of spread_tiled.cpp): each active bin's
-// points are accumulated into a per-tile padded buffer in sorted order, the
-// disjoint in-range core is added to the fine grid with plain stores, and a
-// second pass merges every tile's halo into the neighboring cores in the
-// fixed canonical order of spread_impl.hpp — no atomics, and the result is
-// bitwise-identical at every pool size (the sort is stable and serial).
+// Tile-owned spread (the device engine's design before its colored
+// writeback): each active bin's points are accumulated into a per-tile
+// padded buffer in sorted order, the disjoint in-range core is added to the
+// fine grid with plain stores, and a second pass merges every tile's halo
+// into the neighboring cores in the fixed canonical order of tile_axis_nbrs —
+// no atomics, and the result is bitwise-identical at every pool size (the
+// sort is stable and serial).
 // All point-dependent setup (gate, active list, arena) comes from the
 // set_points-time tile cache.
 template <typename T>
@@ -362,8 +456,8 @@ void CpuPlan<T>::spread_tiled(const cplx* c, int B) {
   const auto& slot_of = tile_slot_of_;
   auto& arena = tile_arena_;
 
-  // The batch runs in chunks of tile_nb_ planes (cap-chunked like the device
-  // engine), phase 1 + phase 2 per chunk.
+  // The batch runs in chunks of tile_nb_ planes (chunked by the arena cap),
+  // phase 1 + phase 2 per chunk.
   for (int b0 = 0; b0 < B; b0 += tile_nb_) {
   const int nb = std::min(tile_nb_, B - b0);
 
@@ -480,10 +574,10 @@ void CpuPlan<T>::spread_tiled(const cplx* c, int B) {
   pool_->parallel_for(0, nbins, [&](std::size_t bown, std::size_t) {
     std::int64_t bc[3];
     sd::bin_coords(bins_, static_cast<std::uint32_t>(bown), bc);
-    sd::TileNbr nbr[3][sd::kMaxTileNbrs];
+    TileNbr nbr[3][kMaxTileNbrs];
     int nn[3] = {1, 1, 1};
     for (int d = 0; d < dim; ++d)
-      nn[d] = sd::tile_axis_nbrs(bc[d], bins_.m[d], bins_.nbins[d], nf[d], pad, nbr[d]);
+      nn[d] = tile_axis_nbrs(bc[d], bins_.m[d], bins_.nbins[d], nf[d], pad, nbr[d]);
     for (int iz = 0; iz < nn[2]; ++iz) {
       for (int iy = 0; iy < nn[1]; ++iy) {
         for (int ix = 0; ix < nn[0]; ++ix) {
@@ -499,13 +593,13 @@ void CpuPlan<T>::spread_tiled(const cplx* c, int B) {
           const int nsz = dim > 2 ? nbr[2][iz].nsegs : 1;
           const int nsy = dim > 1 ? nbr[1][iy].nsegs : 1;
           for (int sz = 0; sz < nsz; ++sz) {
-            const sd::TileSeg zseg =
-                dim > 2 ? nbr[2][iz].segs[sz] : sd::TileSeg{0, 0, 1};
+            const TileSeg zseg =
+                dim > 2 ? nbr[2][iz].segs[sz] : TileSeg{0, 0, 1};
             for (int sy = 0; sy < nsy; ++sy) {
-              const sd::TileSeg yseg =
-                  dim > 1 ? nbr[1][iy].segs[sy] : sd::TileSeg{0, 0, 1};
+              const TileSeg yseg =
+                  dim > 1 ? nbr[1][iy].segs[sy] : TileSeg{0, 0, 1};
               for (int sx = 0; sx < nbr[0][ix].nsegs; ++sx) {
-                const sd::TileSeg xseg = nbr[0][ix].segs[sx];
+                const TileSeg xseg = nbr[0][ix].segs[sx];
                 for (std::int64_t gz = 0; gz < zseg.len; ++gz) {
                   for (std::int64_t gy = 0; gy < yseg.len; ++gy) {
                     const std::size_t src = static_cast<std::size_t>(

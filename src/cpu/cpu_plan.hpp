@@ -4,10 +4,11 @@
 // deconvolution as the device library, but organized the way the parallel
 // CPU code is: bin-sorted
 // points are spread in subproblems into thread-local padded-bin buffers that
-// are merged into the fine grid with the same tile-owned atomic-free
-// core/halo scheme as the device library (deterministic at any pool size),
-// falling back to FINUFFT's atomic padded-bin merge only when the tile
-// geometry gate or arena cap fails; interpolation is a plain parallel gather
+// are merged into the fine grid with a tile-owned atomic-free core/halo
+// scheme (the device library's engine before it switched to a colored direct
+// writeback; deterministic at any pool size), falling back to FINUFFT's
+// atomic padded-bin merge only when the tile geometry gate or arena cap
+// fails; interpolation is a plain parallel gather
 // over sorted points; the FFT runs on the host pool.
 //
 // Mirrors the device library's stage-pipeline shape: every stage is
@@ -78,6 +79,8 @@ class CpuPlan {
   }
 
   /// Registers M points (host pointers; y/z null below dim 2/3) and bin-sorts.
+  /// Throws std::invalid_argument on a NaN or infinite coordinate (checked in
+  /// the fold-rescale pass) and leaves the plan with no points.
   void set_points(std::size_t M, const T* x, const T* y, const T* z);
 
   /// Type 1: reads c (length M), writes f (modes). Type 2: reads f, writes c.
@@ -118,11 +121,11 @@ class CpuPlan {
   std::vector<std::uint32_t> order_;
   std::vector<std::uint32_t> bin_start_;  // size nbins+1
 
-  // Tile-ownership cache for the atomic-free merge, built in set_points
-  // (mirrors the device library's build_tile_set): geometry gate, active-bin
-  // compaction, and the per-tile arena reused by every execute.
+  // Tile-ownership cache for the atomic-free merge, built in set_points:
+  // geometry gate, active-bin compaction, and the per-tile arena reused by
+  // every execute.
   bool tile_ok_ = false;
-  int tile_nb_ = 1;  ///< batch planes held per tile (cap-chunked, like device)
+  int tile_nb_ = 1;  ///< batch planes held per tile (chunked by the arena cap)
   std::vector<std::uint32_t> tile_active_, tile_slot_of_;
   std::vector<cplx> tile_arena_;
 

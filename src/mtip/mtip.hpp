@@ -71,6 +71,9 @@ class MtipRank {
   /// true blob density (reconstruction quality diagnostic, in [-1, 1]).
   double real_space_correlation() const;
 
+  /// 1 if the last merge's type-1 spread ran on the tiled writeback.
+  int merge_tiled() const { return merge_plan_ ? merge_plan_->last_breakdown().tiled : 0; }
+
   std::vector<cplx>& merged_numerator() { return merged_num_; }
   std::vector<cplx>& merged_weights() { return merged_den_; }
   const std::vector<cplx>& model() const { return model_; }
@@ -109,6 +112,9 @@ struct WeakScalingPoint {
   double setup_s = 0;   ///< max over ranks
   double slice_s = 0;   ///< max over ranks (type-2 exec)
   double merge_s = 0;   ///< max over ranks (type-1 exec)
+  int ranks_per_device = 0;  ///< most ranks sharing one device (> 1 means the
+                             ///< ranks split that device's workers)
+  int merge_tiled = 0;       ///< ranks whose merge ran the tiled writeback
 };
 
 /// Runs `nranks` concurrent ranks (one thread each, fixed per-rank problem

@@ -249,6 +249,9 @@ void NufftService::dispatch(Group& g, std::vector<Pending> batch) {
     double setpts_t0 = 0, setpts_dur = 0;
     if (!points_reused) {
       mono::Stopwatch sp_sw;
+      // A set_points that throws (e.g. on a non-finite coordinate) leaves the
+      // plan with no points; the entry must not claim the old ones.
+      entry->fingerprint = 0;
       if (type3)
         plan.set_points3(head.M, static_cast<const T*>(head.x),
                          static_cast<const T*>(head.y), static_cast<const T*>(head.z),

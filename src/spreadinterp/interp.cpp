@@ -252,7 +252,7 @@ void interp_sm_fast(vgpu::Device& dev, const GridSpec& grid, const BinSpec& bins
     const std::size_t nrows = padded / static_cast<std::size_t>(p[0]);
     blk.for_each_thread([&](unsigned t) {
       const auto [lo, hi] = thread_chunk(nrows, t, blk.nthreads);
-      for_padded_rows<DIM, T>(grid, p, delta, lo, hi,
+      for_padded_rows<DIM, T>(grid, p, p, delta, lo, hi,
                               [&](std::size_t dst, std::int64_t src, std::int64_t run) {
                                 for (std::int64_t i = 0; i < run; ++i) {
                                   const std::complex<T> v = fw[src + i];

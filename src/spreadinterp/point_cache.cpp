@@ -1,10 +1,13 @@
 // Builders for the plan-resident point caches (point_cache.hpp): the
 // bin-sorted tap table consumed by SM/tiled spreading, the interior-first
 // iteration partition consumed by the branch-free GM/GM-sort no-wrap path,
-// and the tile-ownership set consumed by the atomic-free spread writeback.
+// and the tile coloring and schedule consumed by the atomic-free spread
+// writeback.
 #include "spreadinterp/point_cache.hpp"
 
+#include <algorithm>
 #include <thread>
+#include <vector>
 
 #include "spreadinterp/spread.hpp"
 #include "spreadinterp/spread_impl.hpp"
@@ -113,9 +116,21 @@ void classify_interior(vgpu::Device& dev, const GridSpec& grid,
 }
 
 template <typename T>
+void size_tile_scratch(vgpu::Device& dev, TileSet<T>& ts, int B) {
+  B = std::max(1, B);
+  if (B <= ts.nplanes) return;
+  ts.nplanes = B;
+  const std::size_t per_plane = ts.plane * static_cast<std::size_t>(B);
+  ts.scratch_re = vgpu::device_buffer<T>(dev, dev.n_workers() * per_plane);
+  ts.scratch_im = vgpu::device_buffer<T>(dev, dev.n_workers() * per_plane);
+  ts.chunk_re = vgpu::device_buffer<T>(dev, ts.color_planes * per_plane);
+  ts.chunk_im = vgpu::device_buffer<T>(dev, ts.color_planes * per_plane);
+  ts.arena_bytes = (ts.scratch_re.bytes() + ts.chunk_re.bytes()) * 2;
+}
+
+template <typename T>
 bool build_tile_set(vgpu::Device& dev, const GridSpec& grid, const BinSpec& bins, int w,
-                    const DeviceSort& sort, int B, std::size_t max_bytes,
-                    TileSet<T>& out, int chunk_cap) {
+                    const DeviceSort& sort, int B, TileSet<T>& out, int chunk_cap) {
   out = TileSet<T>{};
   const int dim = grid.dim;
   const int pad = (w + 1) / 2;
@@ -124,7 +139,7 @@ bool build_tile_set(vgpu::Device& dev, const GridSpec& grid, const BinSpec& bins
   for (int d = 0; d < dim; ++d) {
     out.p[d] = bins.m[d] + 2 * pad;
     // Geometry gate: the padded extent must cover each cell at most once so
-    // every (tile, cell) contribution has a unique scratch coordinate (see
+    // a tile's reach never meets itself across the wrap (see
     // spread_impl.hpp). Violated e.g. by a single bin spanning the axis.
     if (out.p[d] > grid.nf[d]) return false;
     out.padded *= static_cast<std::size_t>(out.p[d]);
@@ -134,130 +149,102 @@ bool build_tile_set(vgpu::Device& dev, const GridSpec& grid, const BinSpec& bins
   // inside its own slot.
   out.plane = out.padded + static_cast<std::size_t>(pad_width(w) - w);
 
+  // Tile colors: the product of per-axis colorings (unused axes have one bin
+  // and one color), so two tiles of one color differ on some axis where their
+  // reaches are disjoint.
+  std::vector<std::uint32_t> axis_color[3];
+  std::uint32_t ncol[3];
+  for (int d = 0; d < 3; ++d) {
+    axis_color[d].resize(static_cast<std::size_t>(bins.nbins[d]));
+    ncol[d] = tile_axis_colors(bins.nbins[d], bins.m[d], grid.nf[d], pad,
+                               axis_color[d].data());
+  }
+  out.n_colors = ncol[0] * ncol[1] * ncol[2];
   const std::size_t nbins = sort.bin_counts.size();
-  vgpu::device_buffer<std::uint32_t> flag(dev, nbins), pos(dev, nbins);
-  dev.launch_items(nbins, 256, [&](std::size_t b, vgpu::BlockCtx&) {
-    flag[b] = sort.bin_counts[b] > 0 ? 1u : 0u;
-  });
-  out.n_active =
-      static_cast<std::uint32_t>(vgpu::exclusive_scan(dev, flag.span(), pos.span()));
-  out.tile_bin = vgpu::device_buffer<std::uint32_t>(dev, out.n_active);
-  out.slot_of_bin = vgpu::device_buffer<std::uint32_t>(dev, nbins);
-  dev.launch_items(nbins, 256, [&](std::size_t b, vgpu::BlockCtx&) {
-    if (flag[b]) {
-      out.tile_bin[pos[b]] = static_cast<std::uint32_t>(b);
-      out.slot_of_bin[b] = pos[b];
-    } else {
-      out.slot_of_bin[b] = TileSet<T>::kNoTile;
-    }
-  });
-
-  // Merge owners: bins whose core receives halo from at least one active
-  // tile. The enumeration mirrors the merge kernel's exactly.
-  vgpu::device_buffer<std::uint32_t> mflag(dev, nbins);
-  dev.launch_items(nbins, 256, [&, dim, pad](std::size_t b, vgpu::BlockCtx&) {
+  std::vector<std::uint32_t> color_of(nbins);
+  std::vector<std::uint32_t> slot0(out.n_colors + 1, 0);
+  for (std::size_t b = 0; b < nbins; ++b) {
     std::int64_t bc[3];
     bin_coords(bins, static_cast<std::uint32_t>(b), bc);
-    TileNbr nbr[3][kMaxTileNbrs];
-    int nn[3] = {1, 1, 1};
-    for (int d = 0; d < dim; ++d)
-      nn[d] = tile_axis_nbrs(bc[d], bins.m[d], bins.nbins[d], grid.nf[d], pad, nbr[d]);
-    bool any = false;
-    for (int iz = 0; iz < nn[2] && !any; ++iz)
-      for (int iy = 0; iy < nn[1] && !any; ++iy)
-        for (int ix = 0; ix < nn[0] && !any; ++ix) {
-          const std::int64_t q0 = nbr[0][ix].q;
-          const std::int64_t q1 = dim > 1 ? nbr[1][iy].q : 0;
-          const std::int64_t q2 = dim > 2 ? nbr[2][iz].q : 0;
-          if (q0 == bc[0] && q1 == bc[1] && q2 == bc[2]) continue;  // self core
-          const std::size_t q = static_cast<std::size_t>(
-              q0 + bins.nbins[0] * (q1 + bins.nbins[1] * q2));
-          if (sort.bin_counts[q] > 0) any = true;
-        }
-    mflag[b] = any ? 1u : 0u;
-  });
-  vgpu::device_buffer<std::uint32_t> mpos(dev, nbins);
-  out.n_merge =
-      static_cast<std::uint32_t>(vgpu::exclusive_scan(dev, mflag.span(), mpos.span()));
-  out.merge_bin = vgpu::device_buffer<std::uint32_t>(dev, out.n_merge);
-  dev.launch_items(nbins, 256, [&](std::size_t b, vgpu::BlockCtx&) {
-    if (mflag[b]) out.merge_bin[mpos[b]] = static_cast<std::uint32_t>(b);
-  });
+    color_of[b] = axis_color[0][bc[0]] +
+                  ncol[0] * (axis_color[1][bc[1]] + ncol[1] * axis_color[2][bc[2]]);
+    if (sort.bin_counts[b] > 0) ++slot0[color_of[b] + 1];
+  }
+  for (std::uint32_t c = 0; c < out.n_colors; ++c) slot0[c + 1] += slot0[c];
+  out.n_active = slot0[out.n_colors];
+  // Active tiles in (color, bin id) order: a counting sort, stable in bin id.
+  out.tile_bin = vgpu::device_buffer<std::uint32_t>(dev, out.n_active);
+  {
+    std::vector<std::uint32_t> cursor(slot0.begin(), slot0.end() - 1);
+    for (std::size_t b = 0; b < nbins; ++b)
+      if (sort.bin_counts[b] > 0)
+        out.tile_bin[cursor[color_of[b]]++] = static_cast<std::uint32_t>(b);
+  }
 
-  // Shell-only halo arena: per active tile only the shell cells (padded
-  // volume minus the in-range core box, which phase 1 writes straight to fw)
-  // are persisted, at shell_base[slot] in the shell-compact layout. The
-  // full-padded accumulation scratch is per WORKER, not per tile, so its
-  // cost does not scale with the active-tile count.
-  B = std::max(1, B);
-  if (out.n_active > 0) {
-    vgpu::device_buffer<std::uint32_t> ssz(dev, out.n_active);
-    dev.launch_items(out.n_active, 256, [&, dim](std::size_t s, vgpu::BlockCtx&) {
-      std::int64_t bc[3], c0[3] = {0, 0, 0}, ce[3] = {1, 1, 1};
-      bin_coords(bins, out.tile_bin[s], bc);
-      for (int d = 0; d < dim; ++d)
-        tile_core(bc[d], bins.m[d], grid.nf[d], c0[d], ce[d]);
-      ssz[s] = static_cast<std::uint32_t>(tile_shell_cells(dim, out.p, ce));
-    });
-    out.shell_base = vgpu::device_buffer<std::uint32_t>(dev, out.n_active);
-    out.shell_total = static_cast<std::size_t>(
-        vgpu::exclusive_scan(dev, ssz.span(), out.shell_base.span()));
-    const std::size_t scratch = dev.n_workers() * out.plane;
-    const std::size_t per_plane = (out.shell_total + scratch) * 2 * sizeof(T);
-    if (per_plane > max_bytes) return false;  // bins too large for the arena
-
-    // -- canonical chunk split (host-side; setpts-time, like the sort) ------
-    // Resolve the cap, count chunks at that cap, and double the cap until the
-    // split tiles' chunk planes fit kTileChunkArenaMaxBytes. The budget test
-    // excludes the per-worker scratch on purpose: the applied cap must be a
-    // pure function of the points, so the summation split (and with it the
-    // spread output) is bitwise-identical at every worker count.
-    std::uint64_t cap;
-    if (chunk_cap > 0) {
-      cap = static_cast<std::uint64_t>(chunk_cap);
-    } else if (chunk_cap < 0) {
-      cap = UINT32_MAX;
-    } else {
-      const std::uint64_t hw = std::max(1u, std::thread::hardware_concurrency());
-      const std::uint64_t M = sort.order.size();
-      cap = std::max<std::uint64_t>(kTileChunkMin, (M + 4 * hw - 1) / (4 * hw));
-    }
-    std::uint32_t maxpts = 0;
-    for (std::uint32_t s = 0; s < out.n_active; ++s)
-      maxpts = std::max(maxpts, sort.bin_counts[out.tile_bin[s]]);
-    out.max_tile_points = maxpts;
-    std::uint64_t nch = 0, nsplitch = 0, nsplit = 0;
-    for (;;) {
-      nch = nsplitch = nsplit = 0;
-      for (std::uint32_t s = 0; s < out.n_active; ++s) {
-        const std::uint64_t cnt = sort.bin_counts[out.tile_bin[s]];
-        const std::uint64_t k = (cnt + cap - 1) / cap;
-        nch += k;
-        if (k > 1) {
-          nsplitch += k;
-          ++nsplit;
-        }
+  // -- canonical chunk split (host-side; setpts-time, like the sort) ---------
+  // Resolve the cap, count chunks at that cap, and double the cap until the
+  // chunk planes of the color with the most split chunks fit
+  // kTileChunkArenaMaxBytes. The budget test excludes the per-worker scratch
+  // on purpose: the applied cap must be a pure function of the points, so
+  // the summation split (and with it the spread output) is bitwise-identical
+  // at every worker count.
+  std::uint64_t cap;
+  if (chunk_cap > 0) {
+    cap = static_cast<std::uint64_t>(chunk_cap);
+  } else if (chunk_cap < 0) {
+    cap = UINT32_MAX;
+  } else {
+    const std::uint64_t hw = std::max(1u, std::thread::hardware_concurrency());
+    const std::uint64_t M = sort.order.size();
+    cap = std::max<std::uint64_t>(kTileChunkMin, (M + 4 * hw - 1) / (4 * hw));
+  }
+  auto nchunks = [&](std::uint32_t s) {
+    const std::uint64_t cnt = sort.bin_counts[out.tile_bin[s]];
+    return (cnt + cap - 1) / cap;
+  };
+  for (std::uint32_t s = 0; s < out.n_active; ++s)
+    out.max_tile_points = std::max(out.max_tile_points, sort.bin_counts[out.tile_bin[s]]);
+  for (;;) {
+    std::uint64_t most = 0;
+    for (std::uint32_t c = 0; c < out.n_colors; ++c) {
+      std::uint64_t in_color = 0;
+      for (std::uint32_t s = slot0[c]; s < slot0[c + 1]; ++s) {
+        const std::uint64_t k = nchunks(s);
+        if (k > 1) in_color += k;
       }
-      if (nsplitch == 0 ||
-          nsplitch * out.plane * 2 * sizeof(T) <= kTileChunkArenaMaxBytes)
-        break;
-      cap = cap > UINT32_MAX / 2 ? UINT32_MAX : cap * 2;
+      most = std::max(most, in_color);
     }
-    out.chunk_cap = static_cast<std::uint32_t>(std::min<std::uint64_t>(cap, UINT32_MAX));
-    out.n_chunks = static_cast<std::uint32_t>(nch);
-    out.n_split = static_cast<std::uint32_t>(nsplit);
-    out.n_split_chunks = static_cast<std::uint32_t>(nsplitch);
-    out.tile_chunk0 = vgpu::device_buffer<std::uint32_t>(dev, out.n_active + 1);
-    out.chunk_tile = vgpu::device_buffer<std::uint32_t>(dev, out.n_chunks);
-    out.chunk_off = vgpu::device_buffer<std::uint32_t>(dev, out.n_chunks);
-    out.chunk_cnt = vgpu::device_buffer<std::uint32_t>(dev, out.n_chunks);
-    out.chunk_plane = vgpu::device_buffer<std::uint32_t>(dev, out.n_chunks);
-    out.split_tile = vgpu::device_buffer<std::uint32_t>(dev, out.n_split);
-    std::uint32_t ck = 0, cpl = 0, sp = 0;
-    for (std::uint32_t s = 0; s < out.n_active; ++s) {
+    if (most * out.plane * 2 * sizeof(T) <= kTileChunkArenaMaxBytes) break;
+    cap = cap > UINT32_MAX / 2 ? UINT32_MAX : cap * 2;
+  }
+  out.chunk_cap = static_cast<std::uint32_t>(std::min<std::uint64_t>(cap, UINT32_MAX));
+
+  std::uint64_t nch = 0, nsplit = 0;
+  for (std::uint32_t s = 0; s < out.n_active; ++s) {
+    const std::uint64_t k = nchunks(s);
+    nch += k;
+    if (k > 1) ++nsplit;
+  }
+  out.n_chunks = static_cast<std::uint32_t>(nch);
+  out.n_split = static_cast<std::uint32_t>(nsplit);
+  out.tile_chunk0 = vgpu::device_buffer<std::uint32_t>(dev, out.n_active + 1);
+  out.chunk_tile = vgpu::device_buffer<std::uint32_t>(dev, out.n_chunks);
+  out.chunk_off = vgpu::device_buffer<std::uint32_t>(dev, out.n_chunks);
+  out.chunk_cnt = vgpu::device_buffer<std::uint32_t>(dev, out.n_chunks);
+  out.chunk_plane = vgpu::device_buffer<std::uint32_t>(dev, out.n_chunks);
+  out.split_tile = vgpu::device_buffer<std::uint32_t>(dev, out.n_split);
+  out.color_chunk0 = vgpu::device_buffer<std::uint32_t>(dev, out.n_colors + 1);
+  out.color_split0 = vgpu::device_buffer<std::uint32_t>(dev, out.n_colors + 1);
+  out.sched = vgpu::device_buffer<std::uint32_t>(dev, out.n_chunks);
+  std::uint32_t ck = 0, sp = 0;
+  for (std::uint32_t c = 0; c < out.n_colors; ++c) {
+    out.color_chunk0[c] = ck;
+    out.color_split0[c] = sp;
+    std::uint32_t cpl = 0;  // chunk planes restart with every color
+    for (std::uint32_t s = slot0[c]; s < slot0[c + 1]; ++s) {
       out.tile_chunk0[s] = ck;
       const std::uint64_t cnt = sort.bin_counts[out.tile_bin[s]];
-      const std::uint64_t k = (cnt + cap - 1) / cap;
+      const std::uint64_t k = nchunks(s);
       if (k > 1) out.split_tile[sp++] = s;
       // Balanced sizes (differing by at most one point) beat cap-sized runs
       // with a small remainder chunk for load balance; the split is a pure
@@ -273,25 +260,18 @@ bool build_tile_set(vgpu::Device& dev, const GridSpec& grid, const BinSpec& bins
         off += sz;
       }
     }
-    out.tile_chunk0[out.n_active] = ck;
-    out.sched = vgpu::device_buffer<std::uint32_t>(dev, out.n_chunks);
-    for (std::uint32_t i = 0; i < out.n_chunks; ++i) out.sched[i] = i;
-    std::stable_sort(out.sched.data(), out.sched.data() + out.n_chunks,
-                     [&](std::uint32_t a, std::uint32_t b) {
-                       return out.chunk_cnt[a] > out.chunk_cnt[b];
-                     });
-
-    out.nb = static_cast<int>(std::min<std::size_t>(
-        static_cast<std::size_t>(B), std::max<std::size_t>(1, max_bytes / per_plane)));
-    out.halo_re = vgpu::device_buffer<T>(dev, out.shell_total * out.nb);
-    out.halo_im = vgpu::device_buffer<T>(dev, out.shell_total * out.nb);
-    out.scratch_re = vgpu::device_buffer<T>(dev, scratch * out.nb);
-    out.scratch_im = vgpu::device_buffer<T>(dev, scratch * out.nb);
-    out.chunk_re = vgpu::device_buffer<T>(dev, out.n_split_chunks * out.plane * out.nb);
-    out.chunk_im = vgpu::device_buffer<T>(dev, out.n_split_chunks * out.plane * out.nb);
-    out.arena_bytes =
-        (out.halo_re.bytes() + out.scratch_re.bytes() + out.chunk_re.bytes()) * 2;
+    out.color_planes = std::max(out.color_planes, cpl);
+    // This color's launch deals its items largest-first.
+    std::uint32_t* seg = out.sched.data() + out.color_chunk0[c];
+    for (std::uint32_t i = out.color_chunk0[c]; i < ck; ++i) seg[i - out.color_chunk0[c]] = i;
+    std::stable_sort(seg, out.sched.data() + ck, [&](std::uint32_t a, std::uint32_t b) {
+      return out.chunk_cnt[a] > out.chunk_cnt[b];
+    });
   }
+  out.tile_chunk0[out.n_active] = ck;
+  out.color_chunk0[out.n_colors] = ck;
+  out.color_split0[out.n_colors] = sp;
+  if (out.n_active > 0) size_tile_scratch(dev, out, B);
   out.usable = true;
   return true;
 }
@@ -304,8 +284,8 @@ bool build_tile_set(vgpu::Device& dev, const GridSpec& grid, const BinSpec& bins
                                      const KernelParams<T>&, const NuPoints<T>&,        \
                                      const std::uint32_t*, InteriorPartition&);         \
   template bool build_tile_set<T>(vgpu::Device&, const GridSpec&, const BinSpec&, int,  \
-                                  const DeviceSort&, int, std::size_t, TileSet<T>&,     \
-                                  int);
+                                  const DeviceSort&, int, TileSet<T>&, int);            \
+  template void size_tile_scratch<T>(vgpu::Device&, TileSet<T>&, int);
 
 CF_INSTANTIATE(float)
 CF_INSTANTIATE(double)

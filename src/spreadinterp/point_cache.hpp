@@ -15,11 +15,11 @@
 //                 and a boundary suffix. GM/GM-sort spread and interp run the
 //                 two segments as separate launches, so the no-wrap hot loop
 //                 is branch-free instead of testing a per-point flag.
-//  * TileSet    — the tile-ownership geometry for the atomic-free spread
-//                 writeback: the active (non-empty) bins, the bin -> arena
-//                 slot map, the owners that receive halo contributions, and
-//                 the per-tile deinterleaved halo arena. See the tile
-//                 geometry notes in spread_impl.hpp.
+//  * TileSet    — the tile coloring and schedule of the atomic-free spread
+//                 writeback: the active (non-empty) bins grouped by color,
+//                 the canonical (tile, chunk) work items, and the per-worker
+//                 padded scratch. See the tile geometry notes in
+//                 spread_impl.hpp.
 //
 // Lifetime: built by Plan::set_points (or a caller's equivalent), invalidated
 // by the next set_points; plan options are fixed at construction so no other
@@ -74,86 +74,85 @@ struct InteriorPartition {
   bool empty() const { return order.empty(); }
 };
 
-/// Tile-ownership precomputation for the atomic-free spread writeback of
-/// type-1 SM and GM-sort plans. `usable` is false when the geometry gate fails
-/// (some padded tile extent exceeds nf — e.g. a single bin spanning an axis)
-/// or the halo arena would exceed the byte cap; callers then keep the atomic
-/// writeback.
+/// Tile coloring and schedule for the atomic-free spread writeback of type-1
+/// SM and GM-sort plans. `usable` is false when the geometry gate fails (some
+/// padded tile extent exceeds nf, e.g. a single bin spanning an axis); callers
+/// then keep the atomic writeback.
 ///
-/// Phase 1 accumulates each tile into a PER-WORKER full padded scratch
-/// (`scratch_re/im`, `plane` cells per batch plane), writes the core box to
-/// fw, and copies the shell into the tile's persistent arena slot. The arena
-/// is SHELL-ONLY (spread_impl.hpp's shell-compact layout): core cells are
-/// dead after phase 1, so per active tile only `shell cells = padded - core`
-/// are stored per batch plane — the ~10% (3D) to ~35% (2D) of padded-tile
-/// memory the whole-tile layout wasted on slots the merge never read.
+/// Colored direct writeback: every tile gets a color such that two tiles of
+/// one color never have overlapping reaches (the core dilated by pad, see
+/// spread_impl.hpp's tile_axis_colors; the color is the product of per-axis
+/// colors). The spread runs one work-stealing launch per color in ascending
+/// color order. A tile accumulates into its WORKER's padded scratch (`plane`
+/// cells per batch plane) and adds its whole reach into fw with plain stores:
+/// no other tile of the running color touches those cells, and the fixed color
+/// order fixes each cell's summation order. Nothing outlives the tile, so
+/// there is no per-tile arena.
 ///
 /// Chunked scheduling: a tile whose bin holds more than `chunk_cap` points is
 /// split into several canonical point-CHUNKS (balanced sizes, fixed order
 /// within the bin's sorted run) so workers can cooperate on one overfull bin
 /// instead of serializing behind it. Every (tile, chunk) pair is a work item;
-/// `sched` lists the items largest-first for the work-stealing launch. A
-/// singleton chunk (unsplit tile) runs the whole per-tile pipeline; chunks of
-/// a split tile accumulate into dedicated planes of `chunk_re/im` that a
-/// second pass reduces in canonical chunk order — the per-cell summation
-/// order is a pure function of the split, never of the schedule, keeping the
-/// spread bitwise-deterministic across worker counts.
+/// `sched` lists each color's items largest-first for its work-stealing
+/// launch. A singleton chunk (unsplit tile) runs the whole per-tile pipeline;
+/// chunks of a split tile accumulate into dedicated planes of `chunk_re/im`
+/// that a second launch of the same color reduces in canonical chunk order.
+/// Chunk planes are reused color after color, so they are sized for the color
+/// with the most split chunks. The per-cell summation order is a pure function
+/// of the split and the coloring, never of the schedule, keeping the spread
+/// bitwise-deterministic across worker counts.
+///
+/// Slots (indices into tile_bin) are ordered by color, then bin id; chunks
+/// follow slot order, so every per-color range below is contiguous.
 template <typename T>
 struct TileSet {
   static constexpr std::uint32_t kNoTile = 0xffffffffu;
 
-  vgpu::device_buffer<std::uint32_t> tile_bin;     ///< arena slot -> bin id
-  vgpu::device_buffer<std::uint32_t> slot_of_bin;  ///< bin id -> slot | kNoTile
-  vgpu::device_buffer<std::uint32_t> merge_bin;    ///< owners receiving halo
+  vgpu::device_buffer<std::uint32_t> tile_bin;  ///< slot -> bin id
   std::uint32_t n_active = 0;
-  std::uint32_t n_merge = 0;
+  std::uint32_t n_colors = 0;
+  vgpu::device_buffer<std::uint32_t> color_chunk0;  ///< color -> first chunk id
+                                                    ///< (size n_colors + 1)
+  vgpu::device_buffer<std::uint32_t> color_split0;  ///< color -> first entry of
+                                                    ///< split_tile (n_colors + 1)
   int pad = 0;
   std::int64_t p[3] = {1, 1, 1};  ///< padded tile dims (unused axes 1)
   std::size_t padded = 0;         ///< cells per padded tile
   std::size_t plane = 0;          ///< scratch stride: padded + fast-path slack
-  int nb = 1;                     ///< batch planes held per tile slot
-  /// Exclusive prefix of per-tile shell sizes over the arena slots (cells);
-  /// slot s's shell plane is shell_base[s] .. shell_base[s] + shell size(s).
-  vgpu::device_buffer<std::uint32_t> shell_base;
-  std::size_t shell_total = 0;  ///< total shell cells over all active tiles
-  vgpu::device_buffer<T> halo_re, halo_im;  ///< shell arena: shell_total * nb
-  vgpu::device_buffer<T> scratch_re, scratch_im;  ///< n_workers * nb * plane
-  std::size_t arena_bytes = 0;  ///< shell arena + accumulation scratch bytes
+  int nplanes = 0;                ///< batch planes the scratch holds (grown on
+                                  ///< demand by spread_tiled_batch)
+  vgpu::device_buffer<T> scratch_re, scratch_im;  ///< n_workers * nplanes * plane
+  std::size_t arena_bytes = 0;  ///< worker scratch + chunk plane bytes
 
   // -- chunked (tile, chunk) work items, canonical order ---------------------
   std::uint32_t n_chunks = 0;       ///< total work items (== n_active unsplit)
   std::uint32_t n_split = 0;        ///< tiles split into more than one chunk
-  std::uint32_t n_split_chunks = 0; ///< chunks owning a dedicated scratch plane
+  std::uint32_t color_planes = 0;   ///< chunk planes: most split chunks of a color
   std::uint32_t chunk_cap = 0;      ///< applied cap (UINT32_MAX = no splitting)
   std::uint32_t max_tile_points = 0;       ///< largest bin population
   vgpu::device_buffer<std::uint32_t> tile_chunk0;  ///< slot -> first chunk id
                                                    ///< (size n_active + 1)
-  vgpu::device_buffer<std::uint32_t> chunk_tile;   ///< chunk -> arena slot
+  vgpu::device_buffer<std::uint32_t> chunk_tile;   ///< chunk -> slot
   vgpu::device_buffer<std::uint32_t> chunk_off;    ///< chunk -> offset in the
                                                    ///< bin's sorted point run
   vgpu::device_buffer<std::uint32_t> chunk_cnt;    ///< chunk -> point count
-  vgpu::device_buffer<std::uint32_t> chunk_plane;  ///< chunk -> chunk-scratch
-                                                   ///< plane | kNoTile (unsplit)
-  vgpu::device_buffer<std::uint32_t> sched;   ///< chunk ids largest-first
-                                              ///< (stable by chunk id)
+  vgpu::device_buffer<std::uint32_t> chunk_plane;  ///< chunk -> plane within its
+                                                   ///< color | kNoTile (unsplit)
+  vgpu::device_buffer<std::uint32_t> sched;   ///< chunk ids, largest-first
+                                              ///< within each color (stable)
   vgpu::device_buffer<std::uint32_t> split_tile;  ///< slots with > 1 chunk
-  vgpu::device_buffer<T> chunk_re, chunk_im;  ///< n_split_chunks * nb * plane
+  vgpu::device_buffer<T> chunk_re, chunk_im;  ///< color_planes * nplanes * plane
 
   bool usable = false;
 };
-
-/// Default cap on the tiled-writeback halo arena; a spread whose active tiles
-/// would need more falls back to the atomic writeback ("bins too large for
-/// the arena").
-inline constexpr std::size_t kTileArenaMaxBytes = std::size_t(512) << 20;
 
 /// Smallest auto chunk cap: splitting finer than this buys no balance (a
 /// chunk this size is cheap next to a launch) but costs chunk-plane zero +
 /// reduce traffic.
 inline constexpr std::uint32_t kTileChunkMin = 1024;
 
-/// Budget for the per-chunk scratch planes of split tiles; the chunk cap is
-/// doubled until the split fits. Deliberately worker-count independent (the
+/// Budget for the per-chunk scratch planes of split tiles (one color's worth);
+/// the chunk cap is doubled until the split fits. Deliberately worker-count independent (the
 /// worker scratch is budgeted separately) so the applied cap — and with it
 /// the summation split — is identical at every worker count.
 inline constexpr std::size_t kTileChunkArenaMaxBytes = std::size_t(64) << 20;
@@ -170,17 +169,20 @@ inline int tile_chunk_cap(int requested) {
                         std::numeric_limits<int>::max());
 }
 
-/// Builds the TileSet for the current bin sort: geometry gate, active-tile
-/// compaction, merge-owner list, the halo arena sized for ntransf = B
-/// (chunked to `nb` planes under `max_bytes`), and the canonical chunk split.
-/// `chunk_cap` is the per-chunk point cap: 0 = auto (max(kTileChunkMin,
-/// ceil(M / (4 * hardware threads))) — a points-per-worker heuristic that is
-/// deliberately independent of the device's worker count), > 0 = explicit,
-/// < 0 = never split (one chunk per tile). Returns out.usable.
+/// Builds the TileSet for the current bin sort: geometry gate, tile coloring,
+/// active tiles grouped by color, the canonical chunk split, and the scratch
+/// for B batch planes. `chunk_cap` is the per-chunk point cap: 0 = auto
+/// (max(kTileChunkMin, ceil(M / (4 * hardware threads))) — a points-per-worker
+/// heuristic that is deliberately independent of the device's worker count),
+/// > 0 = explicit, < 0 = never split (one chunk per tile). Returns out.usable.
 template <typename T>
 bool build_tile_set(vgpu::Device& dev, const GridSpec& grid, const BinSpec& bins, int w,
-                    const DeviceSort& sort, int B, std::size_t max_bytes,
-                    TileSet<T>& out, int chunk_cap = 0);
+                    const DeviceSort& sort, int B, TileSet<T>& out, int chunk_cap = 0);
+
+/// Grows the worker scratch and chunk planes of a usable TileSet to hold B
+/// batch planes and refreshes arena_bytes; a no-op when they already hold B.
+template <typename T>
+void size_tile_scratch(vgpu::Device& dev, TileSet<T>& ts, int B);
 
 /// The plan-resident cache; any part may be empty when the owning plan's
 /// method does not use it.

@@ -37,8 +37,9 @@
 //    passes the partitioned order plus NuPoints::n_nowrap, and the kernels
 //    run the two segments as separate launches (no per-point flag test).
 //  * The TileSet drives the tile-owned atomic-free spread writeback
-//    (spread_tiled_batch): blocks own disjoint core regions of the fine
-//    grid, halos go to per-tile buffers merged in a fixed neighbor order —
+//    (spread_tiled_batch): tiles are colored so that tiles of one color never
+//    touch the same fine-grid cell, and each color's tiles add their padded
+//    boxes straight into fw with plain stores, colors in a fixed order —
 //    zero global atomics and bitwise-deterministic results at any worker
 //    count.
 #pragma once
@@ -120,22 +121,23 @@ void spread_sm_batch(vgpu::Device& dev, const GridSpec& grid, const BinSpec& bin
                      const TapTable<T>& taps, int B, std::size_t cstride,
                      std::size_t fwstride);
 
-/// Tile-owned atomic-free spread writeback (type-1 SM/GM-sort): one block
-/// per (tile, chunk) work item — scheduled largest-first over the pool's
+/// Tile-owned atomic-free spread writeback (type-1 SM/GM-sort), one color
+/// of tiles at a time in ascending color order: one block per (tile, chunk)
+/// work item of the color — scheduled largest-first over the pool's
 /// work-stealing path — accumulates a canonical chunk of the bin's sorted
 /// points into a deinterleaved padded scratch (taps from `taps` when non-null
 /// — the SM cached table — or evaluated inline, identical values either way).
-/// Unsplit tiles add their disjoint in-range core box to fw with plain
-/// vectorizable stores; split tiles (bins over TileSet::chunk_cap points) are
-/// reduced plane by plane in fixed chunk order first. A final kernel merges
-/// every tile's halo shell into the neighboring cores in the fixed canonical
-/// order of spread_impl.hpp's tile enumeration. Zero global atomics; output
-/// is bitwise-identical at every worker count (given the deterministic
-/// bin_sort) because the summation split and every reduction order are pure
-/// functions of the points, never of the steal schedule. Requires
-/// tiles.usable (see build_tile_set); the batch runs in chunks of tiles.nb
-/// planes. Returns the number of work items the scheduler stole across
-/// workers (0 on single-worker devices and inline runs).
+/// Unsplit tiles add their whole reach (core dilated by the kernel pad) to fw
+/// with plain stores; split tiles (bins over TileSet::chunk_cap points) are
+/// reduced plane by plane in fixed chunk order first. Tiles of one color never
+/// reach the same cell, so there are zero global atomics; output is
+/// bitwise-identical at every worker count (given the deterministic bin_sort)
+/// because the coloring, the summation split and every reduction order are
+/// pure functions of the points, never of the steal schedule. Requires
+/// tiles.usable (see build_tile_set); grows the TileSet's scratch when B
+/// exceeds the planes it holds. Returns the number of work items the
+/// scheduler stole across workers (0 on single-worker devices and inline
+/// runs).
 template <typename T>
 std::uint64_t spread_tiled_batch(vgpu::Device& dev, const GridSpec& grid,
                                  const BinSpec& bins, const KernelParams<T>& kp,

@@ -137,21 +137,18 @@ inline void subprob_delta(const BinSpec& bins, std::uint32_t b, int dim, int pad
 // ---- tile-ownership geometry (tiled spread writeback) -----------------------
 //
 // The bins partition the fine grid into disjoint CORE boxes (compute_bin_index
-// assigns every cell to exactly one bin). A tile's padded scratch extends the
-// core by `pad` cells per side; everything outside the in-range core — the
-// halo shell plus, for edge bins, the nominal-core cells past nf — belongs to
-// OTHER tiles' cores under the periodic wrap. The tiled writeback exploits
-// this: the owning block writes its core with plain stores and a second pass
-// merges each tile's halo into the neighboring cores in a fixed order, so no
-// two blocks ever write the same fine-grid cell (zero global atomics) and the
-// per-cell summation order is worker-count independent (bitwise-deterministic
-// spreading).
+// assigns every cell to exactly one bin). A point of bin q only reaches cells
+// within `pad` of q's in-range core, so on each axis a tile's REACH is its core
+// dilated by pad, [c0 - pad, c0 + ce + pad) under the periodic wrap. The tiled
+// writeback colors the tiles so that two tiles of one color never have
+// overlapping reaches: the tiles of a color add their whole reach into fw with
+// plain stores and no races, and the colors run in a fixed order, so every
+// cell's summation order is a pure function of the coloring (the spread is
+// bitwise-deterministic at any worker count).
 //
-// All helpers require p = m + 2*pad <= nf on the axis: the padded extent then
-// covers each fine-grid cell at most once, so for a given (tile, cell) pair
-// there is a unique scratch coordinate s = wrap(g - (q*m - pad)) — the merge
-// enumeration below visits every contribution exactly once. Axes violating
-// this (e.g. a single bin spanning the axis) take the atomic fallback.
+// The helpers require p = m + 2*pad <= nf on the axis (the geometry gate): a
+// reach then covers each fine-grid cell at most once. Axes violating this
+// (e.g. a single bin spanning the axis) take the atomic fallback.
 
 /// In-range core of bin `bc` on one axis: cells [c0, c0 + ce).
 inline void tile_core(std::int64_t bc, std::int64_t m, std::int64_t nf,
@@ -160,134 +157,66 @@ inline void tile_core(std::int64_t bc, std::int64_t m, std::int64_t nf,
   ce = std::min<std::int64_t>((bc + 1) * m, nf) - c0;
 }
 
-/// One contiguous run where the owner's core cells g = g0 .. g0+len-1 read
-/// tile-local scratch coordinates s = s0 .. s0+len-1 of a neighboring tile.
-struct TileSeg {
-  std::int64_t g0, s0, len;
-};
-
-/// Computes the (at most 2) segments of the core interval [c0, c0+ce) that
-/// fall inside the padded extent [qbase - pad, qbase + p - pad) of the tile
-/// based at `qbase`, under the periodic wrap. Requires p <= nf.
-inline int tile_overlap_segs(std::int64_t c0, std::int64_t ce, std::int64_t qbase,
-                             std::int64_t pad, std::int64_t p, std::int64_t nf,
-                             TileSeg segs[2]) {
-  int n = 0;
-  const std::int64_t s0 = wrap_index(c0 - qbase + pad, nf);
-  const std::int64_t len1 = std::min(ce, nf - s0);  // before s wraps past nf
-  if (s0 < p) segs[n++] = {c0, s0, std::min(len1, p - s0)};
-  const std::int64_t len2 = ce - len1;
-  if (len2 > 0) segs[n++] = {c0 + len1, 0, std::min(len2, p)};
-  return n;
-}
-
-/// Per-axis neighbor entry: physical tile index q on this axis plus the
-/// overlap segments of the owner's core against q's padded extent.
-struct TileNbr {
-  std::int64_t q;
-  TileSeg segs[2];
-  int nsegs;
-};
-
-/// Window bound: pad <= (kMaxWidth+1)/2 = 12 and m >= 1 give at most
-/// 2*(1 + ceil(pad/m)) + 1 <= 27 candidate tiles per axis (fewer when nbins
-/// is small, since the all-tiles branch caps at nbins <= 27).
-inline constexpr int kMaxTileNbrs = 28;
-
-/// Enumerates, in a FIXED canonical order, the tiles on one axis whose padded
-/// extent overlaps the core of bin `bc`, with the overlap segments. The order
-/// is what makes the halo merge deterministic: every owner sums its neighbor
-/// contributions in exactly this sequence regardless of worker scheduling.
-inline int tile_axis_nbrs(std::int64_t bc, std::int64_t m, std::int64_t nbins,
-                          std::int64_t nf, std::int64_t pad, TileNbr out[kMaxTileNbrs]) {
-  const std::int64_t p = m + 2 * pad;
-  std::int64_t c0, ce;
-  tile_core(bc, m, nf, c0, ce);
-  const std::int64_t K = 1 + (pad + m - 1) / m;  // K*m >= m + pad covers the reach
-  int n = 0;
-  auto push = [&](std::int64_t q) {
-    TileNbr e;
-    e.q = q;
-    e.nsegs = tile_overlap_segs(c0, ce, q * m, pad, p, nf, e.segs);
-    if (e.nsegs > 0) out[n++] = e;
+/// Colors the `nbins` tiles of one axis (color[q] for tile q) and returns the
+/// color count. Two reaches overlap iff the cores strictly between the two
+/// tiles hold fewer than 2*pad cells along either direction of the periodic
+/// axis. The tiles are cut into G runs of consecutive tiles with balanced
+/// lengths, and each run is colored 0, 1, 2, ... in order, so two tiles of one
+/// color are a whole run apart. With full tiles of m cells, runs of at least
+/// k = 1 + ceil(2*pad / m) tiles suffice (the (k - 1) * m >= 2 * pad rule):
+/// G = nbins / k runs give q mod k when nbins is a multiple of k, and tail
+/// colors (runs one tile longer) otherwise. G shrinks until the coloring
+/// passes the exact overlap test, which a short last tile can fail; G = 1
+/// (every tile its own color) always passes.
+inline std::uint32_t tile_axis_colors(std::int64_t nbins, std::int64_t m, std::int64_t nf,
+                                      std::int64_t pad, std::uint32_t* color) {
+  auto core = [&](std::int64_t q) { return std::min<std::int64_t>((q + 1) * m, nf) - q * m; };
+  // True if no tile shares its color with a tile whose reach overlaps its own.
+  auto valid = [&] {
+    for (std::int64_t q = 0; q < nbins; ++q)
+      for (const std::int64_t dir : {std::int64_t(1), nbins - 1}) {  // forward, backward
+        std::int64_t between = 0;  // core cells strictly between q and r
+        for (std::int64_t j = 1; j < nbins && between < 2 * pad; ++j) {
+          const std::int64_t r = (q + j * dir) % nbins;
+          if (color[r] == color[q]) return false;
+          between += core(r);
+        }
+      }
+    return true;
   };
-  if (2 * K + 1 >= nbins) {
-    for (std::int64_t q = 0; q < nbins; ++q) push(q);
-  } else {
-    for (std::int64_t od = -K; od <= K; ++od) push(wrap_index(bc + od, nbins));
+  const std::int64_t k = 1 + (2 * pad + m - 1) / m;
+  for (std::int64_t G = std::max<std::int64_t>(1, nbins / k);; --G) {
+    for (std::int64_t g = 0; g < G; ++g)
+      for (std::int64_t q = g * nbins / G; q < (g + 1) * nbins / G; ++q)
+        color[q] = static_cast<std::uint32_t>(q - g * nbins / G);
+    if (G == 1 || valid()) return static_cast<std::uint32_t>((nbins + G - 1) / G);
   }
-  return n;
 }
 
-// ---- shell-only halo arena layout ------------------------------------------
-//
-// After phase 1 of the tiled writeback the core box of a padded tile has been
-// added to fw and is never read again; only the SHELL (padded minus core)
-// feeds the halo merge. The persistent arena therefore stores each tile's
-// shell compacted row by row: rows whose y/z lie inside the tile's core range
-// keep only the two x-shell runs ([0, pad) and [pad + ce0, p0)), every other
-// row is stored whole. Phase-2 reads are per-axis overlap segments of a
-// NEIGHBOR's core against this tile — cores are disjoint, so a segment never
-// straddles the excluded core run and stays contiguous in the compact layout.
-
-/// Cells of the shell-compact tile: padded volume minus the core box.
-/// `ce` are the in-range core extents (tile_core) of the tile's own bin.
-inline std::size_t tile_shell_cells(int dim, const std::int64_t* p,
-                                    const std::int64_t* ce) {
-  std::int64_t padded = 1, core = 1;
-  for (int d = 0; d < dim; ++d) {
-    padded *= p[d];
-    core *= ce[d];
-  }
-  return static_cast<std::size_t>(padded - core);
-}
-
-/// Offset of padded-tile cell (s0, s1, s2) in the shell-compact layout.
-/// Precondition: the cell lies in the shell (outside the core box); unused
-/// higher coordinates must be 0. Core rows before this row each save ce[0]
-/// cells; within a core row the high x-shell run follows the low one.
-template <int DIM>
-inline std::int64_t tile_shell_off(const std::int64_t* p, std::int64_t pad,
-                                   const std::int64_t* ce, std::int64_t s0,
-                                   std::int64_t s1, std::int64_t s2) {
-  std::int64_t ncr = 0;  // core rows strictly before row (s2, s1)
-  bool core_row = true;
-  if constexpr (DIM > 2) {
-    ncr = std::clamp<std::int64_t>(s2 - pad, 0, ce[2]) * ce[1];
-    core_row = s2 >= pad && s2 < pad + ce[2];
-  }
-  if constexpr (DIM > 1) {
-    if (core_row) {
-      ncr += std::clamp<std::int64_t>(s1 - pad, 0, ce[1]);
-      core_row = s1 >= pad && s1 < pad + ce[1];
-    }
-  }
-  const std::int64_t row = (DIM > 2 ? s2 * p[1] : 0) + (DIM > 1 ? s1 : 0);
-  return row * p[0] - ncr * ce[0] + (core_row && s0 >= pad ? s0 - ce[0] : s0);
-}
-
-/// Iterates the padded bin row by row, handing `f` maximal runs that are
-/// contiguous in both the scratch (src index) and the periodic fine grid
-/// (global index): f(scratch_offset, global_linear_index, run_length).
-/// One division per row replaces the per-element div/mod + wrap of the
-/// scalar path, and the runs give the caller vectorizable/streamed bodies.
+/// Iterates the rows of a box of `ext` cells per axis held in a scratch of
+/// `p` cells per axis (ext <= p), handing `f` maximal runs that are contiguous
+/// in both the scratch (src index) and the periodic fine grid (global index):
+/// f(scratch_offset, global_linear_index, run_length). Scratch cell s sits at
+/// fine-grid cell wrap(delta + s). Rows are numbered x-fastest over ext[1] *
+/// ext[2]. One division per row replaces the per-element div/mod + wrap of
+/// the scalar path, and the runs give the caller vectorizable/streamed bodies.
 template <int DIM, typename T, typename F>
 inline void for_padded_rows(const GridSpec& grid, const std::int64_t* p,
-                            const std::int64_t* delta, std::size_t row_lo,
-                            std::size_t row_hi, F&& f) {
+                            const std::int64_t* ext, const std::int64_t* delta,
+                            std::size_t row_lo, std::size_t row_hi, F&& f) {
   for (std::size_t rr = row_lo; rr < row_hi; ++rr) {
-    std::int64_t g1 = 0, g2 = 0;
+    std::int64_t s1 = 0, s2 = 0, g1 = 0, g2 = 0;
     if constexpr (DIM >= 2) {
-      const std::int64_t s1 = static_cast<std::int64_t>(rr) % p[1];
-      const std::int64_t s2 = static_cast<std::int64_t>(rr) / p[1];
+      s1 = static_cast<std::int64_t>(rr) % ext[1];
+      s2 = static_cast<std::int64_t>(rr) / ext[1];
       g1 = wrap_index(delta[1] + s1, grid.nf[1]);
       if constexpr (DIM >= 3) g2 = wrap_index(delta[2] + s2, grid.nf[2]);
     }
     const std::int64_t rowbase = grid.nf[0] * (g1 + grid.nf[1] * g2);
-    const std::size_t src0 = rr * static_cast<std::size_t>(p[0]);
+    const std::size_t src0 = static_cast<std::size_t>((s2 * p[1] + s1) * p[0]);
     std::int64_t g0 = wrap_index(delta[0], grid.nf[0]);
-    for (std::int64_t i = 0; i < p[0];) {
-      const std::int64_t run = std::min<std::int64_t>(p[0] - i, grid.nf[0] - g0);
+    for (std::int64_t i = 0; i < ext[0];) {
+      const std::int64_t run = std::min<std::int64_t>(ext[0] - i, grid.nf[0] - g0);
       f(src0 + static_cast<std::size_t>(i), rowbase + g0, run);
       i += run;
       g0 = 0;

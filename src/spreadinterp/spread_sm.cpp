@@ -141,7 +141,7 @@ void spread_sm_batch_fast(vgpu::Device& dev, const GridSpec& grid, const BinSpec
           const T* sre = &smre[plane * bb];
           const T* sim = &smim[plane * bb];
           for_padded_rows<DIM, T>(
-              grid, p, delta, lo, hi,
+              grid, p, p, delta, lo, hi,
               [&](std::size_t src, std::int64_t dst, std::int64_t run) {
                 for (std::int64_t i = 0; i < run; ++i) {
                   const T re = sre[src + i], im = sim[src + i];

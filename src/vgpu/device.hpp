@@ -40,8 +40,10 @@ struct DeviceCounters {
   std::atomic<std::uint64_t> blocks_executed{0};
   std::atomic<std::uint64_t> global_atomics{0};
   std::atomic<std::uint64_t> shared_ops{0};
-  std::atomic<std::uint64_t> tile_merge_ops{0};  ///< plain halo-merge adds
-                                                 ///< (tiled spread writeback)
+  /// Plain (non-atomic) fine-grid adds of the tiled spread writeback: every
+  /// cell of every tile's reach, per batch plane. The name predates the
+  /// colored writeback, when these adds were a separate halo merge.
+  std::atomic<std::uint64_t> tile_merge_ops{0};
 
   void reset() {
     kernels_launched = 0;
@@ -111,7 +113,7 @@ class BlockCtx {
   /// in-block execution is sequential).
   void note_shared_op(std::uint64_t n = 1) { n_shared_ops += n; }
 
-  /// Count plain (non-atomic) halo-merge adds of the tiled spread writeback,
+  /// Count plain (non-atomic) fine-grid adds of the tiled spread writeback,
   /// so benches can report the traffic that replaced the global atomics.
   void note_tile_merge(std::uint64_t n = 1) { n_tile_merge_ops += n; }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <complex>
+#include <limits>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -727,4 +728,39 @@ TEST(CApi, ObservabilityExportsAndErrors) {
   EXPECT_EQ(cfs_obs_trace_reset(), CFS_SUCCESS);
   EXPECT_EQ(cfs_obs_enable(was), CFS_SUCCESS);
   EXPECT_EQ(cfs_obs_enabled(), was);
+}
+
+TEST(CApi, NonFiniteCoordinatesMapToInvalidArg) {
+  // set_points rejects NaN/Inf coordinates with invalid_argument, which the C
+  // API maps to CFS_ERR_INVALID_ARG; the plan stays usable.
+  DeviceGuard g;
+  const std::size_t M = 4000;
+  const int64_t nmodes[3] = {12, 10, 8};
+  Rng rng(17);
+  std::vector<double> x(M), y(M), z(M);
+  std::vector<float> xf(M), yf(M), zf(M);
+  for (std::size_t j = 0; j < M; ++j) {
+    x[j] = rng.angle();
+    y[j] = rng.angle();
+    z[j] = rng.angle();
+    xf[j] = static_cast<float>(x[j]);
+    yf[j] = static_cast<float>(y[j]);
+    zf[j] = static_cast<float>(z[j]);
+  }
+  cfs_plan plan = nullptr;
+  ASSERT_EQ(cfs_makeplan(g.dev, 1, 3, nmodes, +1, 1e-9, nullptr, &plan), CFS_SUCCESS);
+  auto xb = x;
+  xb[1234] = std::numeric_limits<double>::quiet_NaN();
+  xb[17] = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(cfs_setpts(plan, M, xb.data(), y.data(), z.data()), CFS_ERR_INVALID_ARG);
+  EXPECT_EQ(cfs_setpts(plan, M, x.data(), y.data(), z.data()), CFS_SUCCESS);
+  EXPECT_EQ(cfs_destroy(plan), CFS_SUCCESS);
+
+  cfs_planf planf = nullptr;
+  ASSERT_EQ(cfs_makeplanf(g.dev, 2, 3, nmodes, +1, 1e-5, nullptr, &planf), CFS_SUCCESS);
+  auto zb = zf;
+  zb[99] = -std::numeric_limits<float>::infinity();
+  EXPECT_EQ(cfs_setptsf(planf, M, xf.data(), yf.data(), zb.data()), CFS_ERR_INVALID_ARG);
+  EXPECT_EQ(cfs_setptsf(planf, M, xf.data(), yf.data(), zf.data()), CFS_SUCCESS);
+  EXPECT_EQ(cfs_destroyf(planf), CFS_SUCCESS);
 }

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <complex>
+#include <limits>
 #include <tuple>
 #include <vector>
 
@@ -420,4 +421,51 @@ TEST(CpuPlan, BatchedMatchesSingles) {
                                           fbatch.begin() + (b + 1) * p.f.size());
     EXPECT_LT(cpu::rel_l2_error<double>(got, fb), 1e-13);
   }
+}
+
+// ---- non-finite coordinates --------------------------------------------------
+
+namespace {
+
+/// One NaN and one Inf among 4000 points: the comparator's set_points throws
+/// invalid_argument from its fold pass, and a valid set_points afterwards
+/// restores the bits of a fresh plan.
+template <typename T>
+void check_cpu_rejects_nonfinite(int dim, int type) {
+  const double tol = std::is_same_v<T, double> ? 1e-9 : 1e-5;
+  const std::vector<std::int64_t> N =
+      dim == 2 ? std::vector<std::int64_t>{24, 20} : std::vector<std::int64_t>{12, 10, 8};
+  Problem<T> p(N, 4000, 31 + dim + type);
+  ThreadPool pool(1);
+  auto execute = [&](cpu::CpuPlan<T>& plan) {
+    std::vector<std::complex<T>> c = p.c, f = p.f;
+    plan.execute(c.data(), f.data());
+    return type == 1 ? f : c;
+  };
+  const T* zp = dim >= 3 ? p.z.data() : nullptr;
+  cpu::CpuPlan<T> fresh(pool, type, N, +1, tol);
+  fresh.set_points(p.M, p.x.data(), p.y.data(), zp);
+  const auto want = execute(fresh);
+
+  cpu::CpuPlan<T> plan(pool, type, N, +1, tol);
+  auto q = p;
+  (dim >= 3 ? q.z : q.y)[1234] = std::numeric_limits<T>::quiet_NaN();
+  q.x[17] = std::numeric_limits<T>::infinity();
+  EXPECT_THROW(plan.set_points(q.M, q.x.data(), q.y.data(), dim >= 3 ? q.z.data() : nullptr),
+               std::invalid_argument)
+      << "dim=" << dim << " type=" << type;
+  plan.set_points(p.M, p.x.data(), p.y.data(), zp);
+  const auto got = execute(plan);
+  for (std::size_t i = 0; i < got.size(); ++i)
+    ASSERT_EQ(got[i], want[i]) << "dim=" << dim << " type=" << type << " i=" << i;
+}
+
+}  // namespace
+
+TEST(CpuPlan, NonFiniteCoordinatesRejected) {
+  for (int dim : {2, 3})
+    for (int type : {1, 2}) {
+      check_cpu_rejects_nonfinite<float>(dim, type);
+      check_cpu_rejects_nonfinite<double>(dim, type);
+    }
 }

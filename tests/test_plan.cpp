@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <complex>
+#include <limits>
 #include <tuple>
 #include <vector>
 
@@ -692,4 +693,62 @@ TEST(Plan, CustomBinSizesStillCorrect) {
   const std::int64_t n2[2] = {28, 28};
   EXPECT_THROW(core::Plan<double>(dev, 1, std::span(n2, 2), +1, 1e-8, big),
                std::invalid_argument);
+}
+
+// ---- non-finite coordinates --------------------------------------------------
+
+namespace {
+
+/// One NaN and one Inf among 4000 points: set_points throws invalid_argument
+/// (the fold-rescale pass flags them before any bin index is formed) and
+/// leaves the plan with no points; a valid set_points afterwards restores the
+/// plan to the bits of a fresh one.
+template <typename T>
+void check_rejects_nonfinite(int dim, int type) {
+  const double tol = std::is_same_v<T, double> ? 1e-9 : 1e-5;
+  const std::vector<std::int64_t> N =
+      dim == 2 ? std::vector<std::int64_t>{24, 20} : std::vector<std::int64_t>{12, 10, 8};
+  Problem<T> p(N, 4000, false, 91 + dim + type);
+  const std::size_t out_len = type == 1 ? p.f.size() : p.M;
+  vgpu::Device dev(1);  // one worker: the atomic fallback is bitwise too
+  auto execute = [&](core::Plan<T>& plan) {
+    std::vector<std::complex<T>> c = p.c, f = p.f;
+    plan.execute(c.data(), f.data());
+    return type == 1 ? f : c;
+  };
+  core::Plan<T> fresh(dev, type, N, +1, tol);
+  fresh.set_points(p.M, p.x.data(), p.y.data(), dim >= 3 ? p.z.data() : nullptr);
+  const auto want = execute(fresh);
+  ASSERT_EQ(want.size(), out_len);
+
+  core::Plan<T> plan(dev, type, N, +1, tol);
+  const T nan = std::numeric_limits<T>::quiet_NaN();
+  const T inf = std::numeric_limits<T>::infinity();
+  for (int pass = 0; pass < 3; ++pass) {  // NaN on the last axis, -Inf, both
+    auto q = p;
+    std::vector<T>& last = dim >= 3 ? q.z : q.y;
+    if (pass != 1) last[1234] = nan;
+    if (pass != 0) q.x[17] = pass == 1 ? -inf : inf;
+    EXPECT_THROW(plan.set_points(q.M, q.x.data(), q.y.data(),
+                                 dim >= 3 ? q.z.data() : nullptr),
+                 std::invalid_argument)
+        << "dim=" << dim << " type=" << type << " pass=" << pass;
+    EXPECT_EQ(plan.npoints(), 0u);
+  }
+  plan.set_points(p.M, p.x.data(), p.y.data(), dim >= 3 ? p.z.data() : nullptr);
+  const auto got = execute(plan);
+  for (std::size_t i = 0; i < got.size(); ++i)
+    ASSERT_EQ(got[i], want[i]) << "dim=" << dim << " type=" << type << " i=" << i;
+}
+
+}  // namespace
+
+TEST(Plan, NonFiniteCoordinatesRejectedF32) {
+  for (int dim : {2, 3})
+    for (int type : {1, 2}) check_rejects_nonfinite<float>(dim, type);
+}
+
+TEST(Plan, NonFiniteCoordinatesRejectedF64) {
+  for (int dim : {2, 3})
+    for (int type : {1, 2}) check_rejects_nonfinite<double>(dim, type);
 }

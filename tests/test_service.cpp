@@ -25,8 +25,10 @@
 #include <chrono>
 #include <complex>
 #include <cstdlib>
+#include <cmath>
 #include <deque>
 #include <future>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -1001,6 +1003,41 @@ TEST(Service, FutureErrorPropagation) {
   std::vector<std::complex<float>> out(p.out_len());
   auto fut = svc.submit(p.request(opts, out));
   EXPECT_NO_THROW(fut.get());
+}
+
+TEST(Service, NonFiniteCoordinatesFailTheFutureAndKeepTheLedger) {
+  // One NaN and one Inf among 4000 points: the plan's set_points throws on
+  // the dispatch thread and the request's future carries it. The failed
+  // set_points leaves the shared plan without points, so a later request with
+  // the plan's previous point set must load them again, not reuse them.
+  vgpu::Device dev(static_cast<std::size_t>(cf::test::env_workers(2)));
+  service::NufftService svc(dev);
+  Problem<float> p(std::vector<std::int64_t>{24, 20}, 1, 4000, 9);
+  const core::Options opts = env_opts();
+  auto serve = [&](const Problem<float>& q) {
+    std::vector<std::complex<float>> out(q.out_len());
+    svc.submit(q.request(opts, out)).get();
+    return out;
+  };
+  const auto first = serve(p);
+  auto bad = p;
+  bad.y[1234] = std::numeric_limits<float>::quiet_NaN();
+  bad.x[17] = std::numeric_limits<float>::infinity();
+  std::vector<std::complex<float>> out(bad.out_len());
+  EXPECT_THROW(svc.submit(bad.request(opts, out)).get(), std::invalid_argument);
+  const auto again = serve(p);
+  double num = 0, den = 0;
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    num += std::norm(std::complex<double>(again[i] - first[i]));
+    den += std::norm(std::complex<double>(first[i]));
+  }
+  ASSERT_GT(den, 0.0);
+  EXPECT_LT(std::sqrt(num / den), 1e-5);  // same points, same plan (atomic
+                                          // fallbacks may reassociate)
+  const auto st = svc.stats();
+  EXPECT_EQ(st.failed, 1u);
+  EXPECT_EQ(st.completed, 2u);
+  EXPECT_EQ(st.submitted, st.completed + st.failed + svc.outstanding());
 }
 
 // ---- CF_SERVICE_THREADS ------------------------------------------------------

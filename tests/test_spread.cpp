@@ -422,8 +422,7 @@ std::vector<std::complex<T>> run_tiled_with_params(vgpu::Device& dev,
                    wl.grid.dim >= 2 ? wl.yg.data() : nullptr,
                    wl.grid.dim >= 3 ? wl.zg.data() : nullptr, wl.xg.size(), sort);
   spread::TileSet<T> tiles;
-  if (!spread::build_tile_set(dev, wl.grid, wl.bins, kp.w, sort, 1,
-                              spread::kTileArenaMaxBytes, tiles))
+  if (!spread::build_tile_set(dev, wl.grid, wl.bins, kp.w, sort, 1, tiles))
     return {};
   spread::TapTable<T> taps;
   if (with_taps)

@@ -8,7 +8,15 @@
 //  * parity against the atomic writeback (a Method::GM plan) at one worker
 //    across dims x methods x precisions x B in {1, 3};
 //  * graceful fallback: geometries failing the tile gate (padded extent
-//    exceeding nf) silently keep the atomic path and stay correct.
+//    exceeding nf) silently keep the atomic path and stay correct;
+//  * the coloring invariant of the colored writeback (tiles of one color
+//    never reach the same cell), exhaustively per axis and on a built
+//    TileSet;
+//  * an M-TIP merge-shaped plan (3D fp64, w = 13, Ewald-slice points) on
+//    width-aware tiles: tiled, zero atomics, bitwise across workers and at
+//    forced chunk caps, accurate against GM and the direct sum;
+//  * tile shape selection: a user-set binsize is honored, SM keeps the
+//    paper's bin, and GM-sort sizes its tiles by kernel width.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,11 +32,16 @@
 #include "core/plan.hpp"
 #include "cpu/cpu_plan.hpp"
 #include "cpu/direct.hpp"
+#include "mtip/geometry.hpp"
+#include "spreadinterp/binsort.hpp"
+#include "spreadinterp/point_cache.hpp"
+#include "spreadinterp/spread_impl.hpp"
 #include "test_env.hpp"
 #include "vgpu/device.hpp"
 
 namespace core = cf::core;
 namespace vgpu = cf::vgpu;
+namespace mtip = cf::mtip;
 using cf::Rng;
 
 namespace {
@@ -221,56 +234,6 @@ TEST(TiledSpread, Sigma125ZeroGlobalAtomicsOnTiledExecute) {
   }
 }
 
-// ---- shell-only halo arena ---------------------------------------------------
-
-TEST(TiledSpread, ShellOnlyArenaSmallerThanPaddedTileLayout) {
-  // The halo arena stores each tile's SHELL only (padded volume minus the
-  // core box phase 1 writes straight to fw). Breakdown::arena_bytes — shell
-  // slots plus the per-worker padded accumulation scratch — must therefore
-  // undercut the whole-padded-tile layout it replaced, whose size is
-  // reconstructed here from the plan's public geometry. Two device workers
-  // keep the scratch term small and deterministic. Chunk splitting is pinned
-  // off: this test measures the shell layout, and a forced split (e.g. the
-  // CI CF_TILE_CHUNK=1 pass) would add chunk planes to arena_bytes.
-  // Sigma is pinned to 2: shell < whole-tile is a pad-much-smaller-than-bin
-  // regime claim, and the sigma = 1.25 widths push the pad past half the bin
-  // on test-sized grids (the dedicated Sigma125 suites cover that regime).
-  for (int dim = 2; dim <= 3; ++dim) {
-    auto opts = base_opts(dim, core::Method::GMSort);
-    opts.tile_chunk_cap = -1;
-    opts.upsampfac = 2.0;
-    vgpu::Device dev(2);
-    core::Plan<float> plan(dev, 1, modes_for(dim, 2.0), +1, 1e-5, opts);
-    Problem<float> p(modes_for(dim, 2.0), 4000, 1, plan.fine_grid().nf, 0,
-                     77 + dim);
-    plan.set_points(p.M, p.x.data(), p.yp(), p.zp());
-    const auto bd = plan.last_breakdown();
-    ASSERT_GT(bd.tiles_active, 0u) << "dim=" << dim;
-    ASSERT_GT(bd.arena_bytes, 0u) << "dim=" << dim;
-
-    const int w = plan.kernel_width();
-    const int pad = (w + 1) / 2;
-    const auto bins = cf::spread::BinSpec::make(
-        plan.fine_grid(), cf::spread::BinSpec::default_size(dim));
-    std::size_t padded = 1;
-    for (int d = 0; d < dim; ++d)
-      padded *= static_cast<std::size_t>(bins.m[d] + 2 * pad);
-    const std::size_t plane = padded + static_cast<std::size_t>(
-                                           cf::spread::pad_width(w) - w);
-    const std::size_t whole_tile_layout =
-        bd.tiles_active * plane * 2 * sizeof(float);
-    EXPECT_LT(bd.arena_bytes, whole_tile_layout) << "dim=" << dim;
-
-    // The slimmer arena must not change behavior: still tiled, still exact.
-    std::vector<std::complex<float>> f(static_cast<std::size_t>(p.ntot));
-    auto c = p.c;
-    dev.counters.reset();
-    plan.execute(c.data(), f.data());
-    EXPECT_EQ(plan.last_breakdown().tiled, 1);
-    EXPECT_EQ(dev.counters.global_atomics.load(), 0u);
-  }
-}
-
 // ---- atomic elision ----------------------------------------------------------
 
 TEST(TiledSpread, ZeroGlobalAtomicsOnTiledExecute) {
@@ -320,8 +283,10 @@ TEST(TiledSpread, AtomicBaselineStillCountsAtomics) {
   Problem<float> p(modes_for(2), 1500, 1, trial.fine_grid().nf, 0, 31);
   int tiled = -1;
   std::uint64_t atomics = 0;
-  run_type1<float>(1, p, opts, 1e-5, &tiled, &atomics);
+  core::Breakdown bd;
+  run_type1<float>(1, p, opts, 1e-5, &tiled, &atomics, &bd);
   EXPECT_EQ(tiled, 0);
+  EXPECT_EQ(bd.atomic_reason, core::AtomicReason::MethodGM);
   EXPECT_GT(atomics, 0u);
 }
 
@@ -410,10 +375,13 @@ TEST(TiledSpread, ReSetPointsToZeroIsClean) {
 // ---- fallback on gate failure ------------------------------------------------
 
 TEST(TiledSpread, GateFailureFallsBackToAtomicsAndStaysCorrect) {
-  // Tiny grid: the padded bin extent exceeds nf, so the tile engine must
-  // decline (Breakdown::tiled == 0) and the atomic path must still be exact.
+  // Tiny grid with the paper's 32x32 bin set explicitly (the width-aware
+  // default tiles would fit): the padded bin extent exceeds nf, so the tile
+  // engine must decline (Breakdown::tiled == 0, atomic_reason TileGate) and
+  // the atomic path must still be exact.
   core::Options opts;
   opts.method = core::Method::GMSort;
+  opts.binsize = {32, 32, 1};
   std::vector<std::int64_t> N{10, 12};
   vgpu::Device dev(2);
   core::Plan<double> plan(dev, 1, N, +1, 1e-9, opts);
@@ -430,6 +398,7 @@ TEST(TiledSpread, GateFailureFallsBackToAtomicsAndStaysCorrect) {
   std::vector<std::complex<double>> f(10 * 12);
   plan.execute(c.data(), f.data());
   EXPECT_EQ(plan.last_breakdown().tiled, 0);
+  EXPECT_EQ(plan.last_breakdown().atomic_reason, core::AtomicReason::TileGate);
   cf::ThreadPool pool(2);
   std::vector<std::complex<double>> want(10 * 12);
   cf::cpu::direct_type1<double>(pool, x, y, {}, c, +1, N, want);
@@ -576,4 +545,210 @@ TEST(TiledSpread, ClusteredChunkingBitwiseF32) {
 TEST(TiledSpread, ClusteredChunkingBitwiseF64) {
   for (int dim = 1; dim <= 3; ++dim)
     for (int kind = 0; kind <= 2; ++kind) check_cluster<double>(dim, kind);
+}
+
+// ---- colored writeback: the coloring invariant -------------------------------
+
+namespace {
+
+/// Brute force over one axis: within each color, no fine-grid cell lies in
+/// the reach (in-range core dilated by pad, wrapped mod nf) of two tiles, and
+/// no reach covers a cell twice.
+bool axis_reaches_disjoint(std::int64_t nf, std::int64_t m, std::int64_t pad,
+                           const std::vector<std::uint32_t>& color,
+                           std::uint32_t ncolors) {
+  const std::int64_t nbins = (nf + m - 1) / m;
+  for (std::uint32_t c = 0; c < ncolors; ++c) {
+    std::vector<char> hit(static_cast<std::size_t>(nf), 0);
+    for (std::int64_t q = 0; q < nbins; ++q) {
+      if (color[static_cast<std::size_t>(q)] != c) continue;
+      const std::int64_t c0 = q * m, ce = std::min((q + 1) * m, nf) - c0;
+      for (std::int64_t g = c0 - pad; g < c0 + ce + pad; ++g) {
+        char& h = hit[static_cast<std::size_t>(cf::spread::wrap_index(g, nf))];
+        if (h) return false;
+        h = 1;
+      }
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
+TEST(TileColoring, SameColorReachesNeverOverlapOnAnyAxis) {
+  // Every (nf, m, pad) that passes the geometry gate (m + 2*pad <= nf):
+  // odd bin counts, partial last tiles (tail colors) and nbins in {2, 3}.
+  std::size_t configs = 0;
+  for (std::int64_t pad = 1; pad <= 12; ++pad)
+    for (std::int64_t nf = 2 * pad + 1; nf <= 96; ++nf)
+      for (std::int64_t m = 1; m + 2 * pad <= nf; ++m) {
+        const std::int64_t nbins = (nf + m - 1) / m;
+        std::vector<std::uint32_t> color(static_cast<std::size_t>(nbins));
+        const std::uint32_t k =
+            cf::spread::detail::tile_axis_colors(nbins, m, nf, pad, color.data());
+        ASSERT_TRUE(axis_reaches_disjoint(nf, m, pad, color, k))
+            << "nf=" << nf << " m=" << m << " pad=" << pad;
+        ASSERT_LE(k, static_cast<std::uint32_t>(nbins));
+        for (auto c : color) ASSERT_LT(c, k);
+        // Two or three tiles around the circle all touch each other.
+        if (nbins <= 3) {
+          EXPECT_EQ(k, static_cast<std::uint32_t>(nbins)) << nf << " " << m;
+        }
+        // Full tiles with nbins a multiple of k0 = 1 + ceil(2*pad / m): the
+        // periodic q mod k0 coloring, no tail color.
+        const std::int64_t k0 = 1 + (2 * pad + m - 1) / m;
+        if (nf % m == 0 && nbins % k0 == 0) {
+          EXPECT_EQ(k, static_cast<std::uint32_t>(k0))
+              << "nf=" << nf << " m=" << m << " pad=" << pad;
+        }
+        ++configs;
+      }
+  EXPECT_GT(configs, 10000u);
+}
+
+TEST(TileColoring, TileSetGroupsDisjointTilesPerColor) {
+  // A built TileSet on a 3D grid with odd bin counts and partial last tiles
+  // (5 x 3 x 4 bins): every active tile appears once, grouped by color, and
+  // the 3D reaches of one color's tiles never share a cell.
+  cf::spread::GridSpec grid;
+  grid.dim = 3;
+  grid.nf = {30, 27, 20};
+  const auto bins = cf::spread::BinSpec::make(grid, {7, 9, 5});
+  const int w = 5, pad = 3;
+  Rng rng(123);
+  const std::size_t M = 3000;
+  std::vector<double> x(M), y(M), z(M);
+  for (std::size_t j = 0; j < M; ++j) {
+    x[j] = rng.uniform(0, 30);
+    y[j] = rng.uniform(0, 27);
+    z[j] = rng.uniform(0, 20);
+  }
+  vgpu::Device dev(2);
+  cf::spread::DeviceSort sort;
+  cf::spread::bin_sort<double>(dev, grid, bins, x.data(), y.data(), z.data(), M, sort);
+  cf::spread::TileSet<double> ts;
+  // Chunk cap 20 splits the ~50-point bins, so colors hold split tiles too.
+  ASSERT_TRUE(cf::spread::build_tile_set(dev, grid, bins, w, sort, 1, ts, 20));
+  // x: 5 bins of 7 (last 2) -> runs of 2 and 3 tiles, 3 colors; y: 3 bins
+  // -> 3; z: 4 bins of 5 < 2*pad need runs of 3 -> one run, 4 colors.
+  EXPECT_EQ(ts.n_colors, 3u * 3u * 4u);
+  EXPECT_GT(ts.n_split, 0u);
+  std::vector<int> seen(static_cast<std::size_t>(bins.total_bins()), 0);
+  for (std::uint32_t c = 0; c < ts.n_colors; ++c) {
+    std::vector<char> hit(static_cast<std::size_t>(grid.total()), 0);
+    std::uint32_t last_slot = cf::spread::TileSet<double>::kNoTile;
+    for (std::uint32_t ck = ts.color_chunk0[c]; ck < ts.color_chunk0[c + 1]; ++ck) {
+      const std::uint32_t slot = ts.chunk_tile[ck];
+      if (slot == last_slot) continue;  // further chunks of the same tile
+      last_slot = slot;
+      const std::uint32_t b = ts.tile_bin[slot];
+      ++seen[b];
+      std::int64_t bc[3];
+      cf::spread::detail::bin_coords(bins, b, bc);
+      std::int64_t c0[3], ce[3];
+      for (int d = 0; d < 3; ++d)
+        cf::spread::detail::tile_core(bc[d], bins.m[d], grid.nf[d], c0[d], ce[d]);
+      for (std::int64_t gz = c0[2] - pad; gz < c0[2] + ce[2] + pad; ++gz)
+        for (std::int64_t gy = c0[1] - pad; gy < c0[1] + ce[1] + pad; ++gy)
+          for (std::int64_t gx = c0[0] - pad; gx < c0[0] + ce[0] + pad; ++gx) {
+            const std::int64_t cell =
+                cf::spread::wrap_index(gx, grid.nf[0]) +
+                grid.nf[0] * (cf::spread::wrap_index(gy, grid.nf[1]) +
+                              grid.nf[1] * cf::spread::wrap_index(gz, grid.nf[2]));
+            ASSERT_FALSE(hit[static_cast<std::size_t>(cell)]) << "color " << c;
+            hit[static_cast<std::size_t>(cell)] = 1;
+          }
+    }
+  }
+  for (std::size_t b = 0; b < seen.size(); ++b)
+    EXPECT_EQ(seen[b], sort.bin_counts[b] > 0 ? 1 : 0) << "bin " << b;
+}
+
+// ---- M-TIP merge shape on width-aware tiles ----------------------------------
+
+TEST(TiledSpread, MtipMergeShapeTiledBitwiseAndAccurate) {
+  // The merge of paper Sec. V at a test-sized grid: 3D fp64 type 1 at tol
+  // 1e-12 (w = 13), origin-clustered Ewald-slice points. 3D double does not
+  // fit SM (Rmk. 2), so Auto resolves to GM-sort with width-aware tiles:
+  // nf 90 splits into 4 tiles of 23 per axis, two colors each.
+  mtip::DetectorSpec det;
+  det.ndet = 12;
+  std::vector<double> x, y, z;
+  for (const auto& R : mtip::random_rotations(8, 11)) mtip::ewald_slice_points(R, det, x, y, z);
+  Problem<double> p({41, 41, 41}, x.size(), 1, {90, 90, 90}, 0, 19);
+  p.x = x;
+  p.y = y;
+  p.z = z;
+  const double tol = 1e-12;
+  core::Options opts;
+  opts.upsampfac = 2.0;
+
+  std::vector<std::vector<std::complex<double>>> per_cap;
+  for (int cap : {0, 1, 64}) {
+    opts.tile_chunk_cap = cap;
+    int tiled = 0;
+    std::uint64_t atomics = ~std::uint64_t(0);
+    core::Breakdown bd;
+    const auto ref = run_type1<double>(1, p, opts, tol, &tiled, &atomics, &bd);
+    ASSERT_EQ(tiled, 1) << "cap=" << cap;
+    EXPECT_EQ(atomics, 0u) << "cap=" << cap;
+    EXPECT_EQ(bd.atomic_reason, core::AtomicReason::None);
+    EXPECT_EQ(bd.tile_colors, 8u);
+    EXPECT_LE(bd.tiles_active, 64u);
+    if (cap == 1) {
+      EXPECT_GT(bd.tile_chunks, bd.tiles_active);
+    }
+    for (std::size_t wc : worker_counts()) {
+      const auto got = run_type1<double>(wc, p, opts, tol);
+      ASSERT_EQ(got.size(), ref.size());
+      for (std::size_t i = 0; i < got.size(); ++i)
+        ASSERT_EQ(got[i], ref[i]) << "cap=" << cap << " workers=" << wc << " i=" << i;
+    }
+    per_cap.push_back(ref);
+  }
+
+  auto gm = opts;
+  gm.tile_chunk_cap = 0;
+  gm.method = core::Method::GM;
+  int tiled = -1;
+  const auto want_gm = run_type1<double>(1, p, gm, tol, &tiled);
+  ASSERT_EQ(tiled, 0);
+  cf::ThreadPool pool(2);
+  std::vector<std::complex<double>> want(static_cast<std::size_t>(p.ntot));
+  cf::cpu::direct_type1<double>(pool, p.x, p.y, p.z, p.c, +1, p.N, want);
+  for (const auto& f : per_cap) {
+    EXPECT_LT(cf::cpu::rel_l2_error<double>(f, want_gm), 1e-13);
+    EXPECT_LT(cf::cpu::rel_l2_error<double>(f, want), 1e-11);
+  }
+}
+
+// ---- tile shape selection ----------------------------------------------------
+
+TEST(TiledSpread, UserBinsizeHonoredAndTileShapeFollowsMethod) {
+  // 3D fp32 at tol 1e-5 (w = 6, pad 3) on nf {32, 32, 24}; 4000 uniform
+  // points occupy every tile of each shape below.
+  const std::vector<std::int64_t> modes{16, 16, 12};
+  auto tiles_of = [&](core::Method method, std::array<int, 3> binsize) {
+    core::Options opts;
+    opts.method = method;
+    opts.upsampfac = 2.0;
+    opts.binsize = binsize;
+    vgpu::Device dev(2);
+    core::Plan<float> plan(dev, 1, modes, +1, 1e-5, opts);
+    EXPECT_EQ(plan.kernel_width(), 6);
+    Problem<float> p(modes, 4000, 1, plan.fine_grid().nf, 0, 29);
+    plan.set_points(p.M, p.x.data(), p.yp(), p.zp());
+    std::vector<std::complex<float>> f(static_cast<std::size_t>(p.ntot));
+    auto c = p.c;
+    plan.execute(c.data(), f.data());
+    EXPECT_EQ(plan.last_breakdown().tiled, 1);
+    return plan.last_breakdown().tiles_active;
+  };
+  // A user-set binsize is used as given: 4 x 4 x 4 bins of 8 x 8 x 6.
+  EXPECT_EQ(tiles_of(core::Method::GMSort, {8, 8, 6}), 64u);
+  // GM-sort with binsize unset sizes tiles by width: about 4*pad = 12 but at
+  // least 16 cells, with an even tile count -> 2 x 2 x 2 tiles of 16 x 16 x 12.
+  EXPECT_EQ(tiles_of(core::Method::GMSort, {0, 0, 0}), 8u);
+  // SM keeps the paper's 16 x 16 x 2 shared-memory bin: 2 x 2 x 12 bins.
+  EXPECT_EQ(tiles_of(core::Method::SM, {0, 0, 0}), 48u);
 }

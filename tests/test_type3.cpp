@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <complex>
+#include <limits>
 #include <tuple>
 #include <vector>
 
@@ -293,4 +294,31 @@ TEST(Type3, ManySourcesFewTargetsAndViceVersa) {
   EXPECT_LT(run_type3<double>(1, big_m, +1, 1e-9), 1e-7);
   T3Problem big_k(1, 50, 20000, 3.0, 20.0, 58);
   EXPECT_LT(run_type3<double>(1, big_k, +1, 1e-9), 1e-7);
+}
+
+TEST(Type3, NonFiniteCoordinatesRejected) {
+  // A NaN source or an infinite target frequency would size the fine grid
+  // from a meaningless range; set_points throws and leaves the plan unset.
+  for (int dim : {2, 3}) {
+    T3Problem p(dim, 4000, 300, 2.0, 10.0, 21 + dim);
+    cf::vgpu::Device dev(2);
+    core::Type3Plan<double> plan(dev, dim, +1, 1e-9);
+    auto set = [&](const T3Problem& q) {
+      plan.set_points(q.x.size(), q.x.data(), q.y.data(), dim >= 3 ? q.z.data() : nullptr,
+                      q.s.size(), q.s.data(), q.t.data(), dim >= 3 ? q.u.data() : nullptr);
+    };
+    set(p);
+    auto bad_src = p;
+    bad_src.x[1234] = std::numeric_limits<double>::quiet_NaN();
+    bad_src.y[17] = std::numeric_limits<double>::infinity();
+    EXPECT_THROW(set(bad_src), std::invalid_argument) << "dim=" << dim;
+    EXPECT_EQ(plan.nsources(), 0u);
+    std::vector<std::complex<double>> c = p.c, f(p.s.size());
+    EXPECT_THROW(plan.execute(c.data(), f.data()), std::logic_error);
+    auto bad_trg = p;
+    bad_trg.s[5] = -std::numeric_limits<double>::infinity();
+    EXPECT_THROW(set(bad_trg), std::invalid_argument) << "dim=" << dim;
+    set(p);
+    EXPECT_NO_THROW(plan.execute(c.data(), f.data()));
+  }
 }
