@@ -397,22 +397,22 @@ void run_workers(const Tracked3d& t3, std::size_t M, int reps,
 
 /// Tiled-writeback ablation at the tracked configuration: 3D spread, rand,
 /// tol = 1e-6, fp32, SM and GM-sort, at the layer entry points. The
-/// tile-owned atomic-free writeback the plans run (spread_tiled_batch; SM
-/// streams its tap table, GM-sort evaluates taps inline) against the atomic
-/// writeback the plans keep as their tile-gate fallback (spread_sm_batch
-/// over the SM subproblems; spread_gm_batch over the interior-first GM-sort
-/// order). Records per-spread global atomics (zero on
-/// the tiled path; the halo-merge counter shows the plain adds that replaced
-/// them), the point-dependent setup each writeback needs, and whether the
-/// tiled output is bitwise-identical across worker counts {1, 2}.
+/// tile-owned atomic-free writeback the plans run (spread_tiled_batch on the
+/// method's plan tiles, Plan::bins(); SM streams its tap table, GM-sort
+/// evaluates taps inline) against the atomic writeback the plans keep as
+/// their tile-gate fallback (spread_sm_batch over the SM subproblems on the
+/// paper's shared-memory bins; spread_gm_batch over the interior-first
+/// GM-sort order). Records per-spread global atomics (zero on the tiled
+/// path; the fw-add counter shows the plain adds that replaced them), the
+/// point-dependent setup each writeback needs, and whether the tiled output
+/// is bitwise-identical across worker counts {1, 2}.
 void run_tiled(const Tracked3d& t3, std::size_t M, int reps, bench::JsonReport& json) {
   const double tol = 1e-6;
   const auto& wl = t3.wl;
   vgpu::Device dev;
-  // The plans' own fine grid and bins for this problem.
+  // The plans' own fine grid for this problem.
   const core::Plan<float> shape(dev, 1, t3.N, +1, tol);
   const spread::GridSpec grid = shape.fine_grid();
-  const auto bins = spread::BinSpec::make(grid, spread::BinSpec::default_size(3));
   const auto kp = spread::KernelParams<float>::from_width(shape.kernel_width());
   const auto G = static_cast<std::size_t>(grid.total());
 
@@ -423,36 +423,47 @@ void run_tiled(const Tracked3d& t3, std::size_t M, int reps, bench::JsonReport& 
     zg[j] = spread::fold_rescale(wl.z[j], grid.nf[2]);
   }
   const spread::NuPoints<float> pts{xg.data(), yg.data(), zg.data(), M};
-  spread::DeviceSort sort;
-  Timer tsort;
-  spread::bin_sort<float>(dev, grid, bins, xg.data(), yg.data(), zg.data(), M, sort);
-  const double sort_s = tsort.seconds();
+  // The SM fallback's shared-memory bins and their sort.
+  const auto sm_bins = spread::BinSpec::make(grid, spread::BinSpec::default_size(3));
+  spread::DeviceSort sm_sort;
+  spread::bin_sort<float>(dev, grid, sm_bins, xg.data(), yg.data(), zg.data(), M, sm_sort);
 
   std::printf("\n--- tiled-writeback ablation: 3D spread, rand, M=%zu, tol=%g, fp32, "
               "tile-owned vs atomic writeback ---\n", M, tol);
-  Table t({"method", "writeback", "spread [s]", "atomics/pt", "merge/pt", "cache [s]",
-           "spread spdup"});
+  Table t({"method", "writeback", "tiles", "spread [s]", "atomics/pt", "fw adds/pt",
+           "cache [s]", "spread spdup"});
   vgpu::device_buffer<std::complex<float>> fw(dev, G);
   for (core::Method method : {core::Method::SM, core::Method::GMSort}) {
     const bool sm = method == core::Method::SM;
-    if (sm && !spread::sm_fits<float>(dev, grid, bins, kp.w)) {
+    if (sm && !spread::sm_fits<float>(dev, grid, sm_bins, kp.w)) {
       std::printf("SM does not fit shared memory at w=%d; skipping.\n", kp.w);
       continue;
     }
-    // Point-dependent setup: SM's tap table feeds both writebacks; the atomic
-    // side adds the subproblems (SM) or the interior partition (GM-sort).
+    // This method's plan tiles and their sort.
+    core::Options opts;
+    opts.method = method;
+    const spread::BinSpec bins = core::Plan<float>(dev, 1, t3.N, +1, tol, opts).bins();
+    spread::DeviceSort sort;
+    Timer tsort;
+    spread::bin_sort<float>(dev, grid, bins, xg.data(), yg.data(), zg.data(), M, sort);
+    const double sort_s = tsort.seconds();
+    // Point-dependent setup: SM's tap table (in each sort's order) feeds both
+    // writebacks; the atomic side adds the subproblems (SM) or the interior
+    // partition (GM-sort).
     Timer tc;
-    spread::TapTable<float> taps;
+    spread::TapTable<float> taps, sm_taps;
     if (sm) spread::build_tap_table(dev, 3, kp, pts, sort.order.data(), taps);
     const double taps_s = tc.seconds();
     tc.reset();
     spread::SubprobSetup subs;
     spread::InteriorPartition part;
-    if (sm)
-      subs = spread::build_subproblems(dev, sort, 1024);
-    else
+    if (sm) {
+      spread::build_tap_table(dev, 3, kp, pts, sm_sort.order.data(), sm_taps);
+      subs = spread::build_subproblems(dev, sm_sort, 1024);
+    } else {
       spread::classify_interior(dev, grid, kp, pts, sort.order.data(), part);
-    const double atomic_cache_s = taps_s + tc.seconds();
+    }
+    const double atomic_cache_s = tc.seconds() + (sm ? 0.0 : taps_s);
     tc.reset();
     spread::TileSet<float> tiles;
     spread::build_tile_set(dev, grid, bins, kp.w, sort, 1, tiles);
@@ -468,8 +479,8 @@ void run_tiled(const Tracked3d& t3, std::size_t M, int reps, bench::JsonReport& 
     auto spread_atomic = [&] {
       vgpu::fill(dev, fw.span(), std::complex<float>(0, 0));
       if (sm) {
-        spread::spread_sm_batch<float>(dev, grid, bins, kp, pts, wl.c.data(), fw.data(),
-                                       sort, subs, 1024, taps, 1, M, G);
+        spread::spread_sm_batch<float>(dev, grid, sm_bins, kp, pts, wl.c.data(), fw.data(),
+                                       sm_sort, subs, 1024, sm_taps, 1, M, G);
       } else {
         auto ipts = pts;
         ipts.n_nowrap = part.n_interior;
@@ -512,7 +523,8 @@ void run_tiled(const Tracked3d& t3, std::size_t M, int reps, bench::JsonReport& 
       if (!tiled) base_spread = spread_s;
       const double cache_s = tiled ? tiled_cache_s : atomic_cache_s;
       t.add_row({core::method_name(method), tiled ? "tiled" : "atomic",
-                 Table::fmt(spread_s, 3), Table::fmt(double(atomics) / double(M), 1),
+                 tiled ? std::to_string(tiles.n_active) : "-", Table::fmt(spread_s, 3),
+                 Table::fmt(double(atomics) / double(M), 1),
                  Table::fmt(double(merges) / double(M), 1), Table::fmt(cache_s, 3),
                  Table::fmt(base_spread / spread_s, 2) + "x"});
       auto& rec = json.add();
@@ -533,7 +545,9 @@ void run_tiled(const Tracked3d& t3, std::size_t M, int reps, bench::JsonReport& 
           .field("tile_merge_ops", merges)
           .field("spread_speedup_vs_atomic", base_spread / spread_s);
       if (tiled)
-        rec.field("tile_chunks", static_cast<std::size_t>(tiles.n_chunks))
+        rec.field("tile", static_cast<std::int64_t>(bins.m[0]))
+            .field("colors", static_cast<std::size_t>(tiles.n_colors))
+            .field("tile_chunks", static_cast<std::size_t>(tiles.n_chunks))
             .field("max_tile_points", static_cast<std::size_t>(tiles.max_tile_points))
             .field("chunk_steals", steals)
             .field("bitwise_across_workers", static_cast<std::int64_t>(bitwise));

@@ -36,7 +36,7 @@ spread::GridSpec make_grid(std::span<const std::int64_t> nmodes, double upsampfa
   return g;
 }
 
-/// Tile edge for the tiled GM-sort engine on one axis: about 4*pad cells (never
+/// Tile edge for the tiled spread engine on one axis: about 4*pad cells (never
 /// below the paper's bin edge, 32 in 2D and 16 in 3D), so the halo stays a
 /// modest share of the padded tile, with the tile count rounded to an even
 /// number so that, with m >= 2*pad, two colors per axis suffice. E.g. nf 162
@@ -103,9 +103,11 @@ Plan<T>::Plan(vgpu::Device& dev, int type, std::span<const std::int64_t> nmodes,
   }
   need_sort_ = (method_ == Method::GMSort || method_ == Method::SM);
 
-  // Width-aware tiles for the tiled GM-sort spread (see the header notes). A
-  // shape that fails the geometry gate keeps the paper's bins.
-  if (type_ == 1 && method_ == Method::GMSort && opts_.binsize[0] <= 0 && grid_.dim >= 2) {
+  // Width-aware tiles for the tiled spread (see the header notes). SM has
+  // already been checked against the paper's bins above; those bins only
+  // serve its atomic fallback, which runs when the geometry gate fails, and
+  // a shape that fails the gate keeps the paper's bins.
+  if (type_ == 1 && need_sort_ && opts_.binsize[0] <= 0 && grid_.dim >= 2) {
     std::array<int, 3> tsz{1, 1, 1};
     bool fits = true;
     for (int d = 0; d < grid_.dim; ++d) {

@@ -27,11 +27,13 @@
 // GM is the atomic baseline by definition. Breakdown::atomic_reason says which
 // of the two sent a type-1 spread to atomics.
 //
-// Tile shape: SM keeps the paper's shared-memory bin (32x32 / 16x16x2). A
-// type-1 GM-sort plan with Options::binsize unset tiles 2D/3D grids by
-// kernel width instead (see Plan::Plan): the tiled engine's scratch lives in
+// Tile shape: a type-1 SM or GM-sort plan with Options::binsize unset tiles
+// 2D/3D grids by kernel width (see Plan::Plan) instead of the paper's
+// shared-memory bin (32x32 / 16x16x2): the tiled engine's scratch lives in
 // global memory, so the 48 KiB budget that shapes the SM bin does not bind
-// it, and the paper's 2-cell z extent would be mostly halo at wide kernels.
+// it, and the paper's 2-cell z extent would be mostly halo and need 1 + pad
+// colors. SM still decides whether it fits on the paper's bin, which its
+// atomic fallback (geometry gate failed) runs on.
 //
 // Usage:
 //   vgpu::Device dev;

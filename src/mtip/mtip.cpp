@@ -217,9 +217,12 @@ WeakScalingPoint run_weak_scaling(int nranks, const MtipConfig& cfg, const NodeS
   out.setup_s = *std::max_element(setup.begin(), setup.end());
   out.slice_s = *std::max_element(slice.begin(), slice.end());
   out.merge_s = *std::max_element(merge.begin(), merge.end());
-  for (int g = 0; g < node.ngpus; ++g)
-    out.ranks_per_device = std::max(out.ranks_per_device,
-                                    (nranks - g + node.ngpus - 1) / node.ngpus);
+  // Read back from the ranks themselves which device each one runs on.
+  for (const auto& d : devices) {
+    int sharing = 0;
+    for (const auto& r : ranks) sharing += &r->device() == d.get() ? 1 : 0;
+    out.ranks_per_device = std::max(out.ranks_per_device, sharing);
+  }
   for (const auto& r : ranks) out.merge_tiled += r->merge_tiled();
   return out;
 }

@@ -44,6 +44,7 @@ class MtipRank {
 
   std::size_t npoints() const { return M_; }
   const MtipConfig& config() const { return cfg_; }
+  vgpu::Device& device() const { return *dev_; }
 
   /// Builds geometry + data, transfers to the device, and plans/sorts both
   /// NUFFTs. Returns elapsed seconds (the Fig. 9 "setup" time).

@@ -194,9 +194,20 @@ bool build_tile_set(vgpu::Device& dev, const GridSpec& grid, const BinSpec& bins
   } else if (chunk_cap < 0) {
     cap = UINT32_MAX;
   } else {
+    // The colors run one after another, so the fullest color sets the pace:
+    // about 4 items per hardware thread in its launch. A color of one or two
+    // dense tiles (small grids) then still occupies every worker; when one
+    // color holds nearly every point (clustered input) this is the
+    // whole-set rule max(kTileChunkMin, M / (4 * hw)).
     const std::uint64_t hw = std::max(1u, std::thread::hardware_concurrency());
-    const std::uint64_t M = sort.order.size();
-    cap = std::max<std::uint64_t>(kTileChunkMin, (M + 4 * hw - 1) / (4 * hw));
+    std::uint64_t fullest = 0;
+    for (std::uint32_t c = 0; c < out.n_colors; ++c) {
+      std::uint64_t in_color = 0;
+      for (std::uint32_t s = slot0[c]; s < slot0[c + 1]; ++s)
+        in_color += sort.bin_counts[out.tile_bin[s]];
+      fullest = std::max(fullest, in_color);
+    }
+    cap = std::max<std::uint64_t>(kTileChunkMin, (fullest + 4 * hw - 1) / (4 * hw));
   }
   auto nchunks = [&](std::uint32_t s) {
     const std::uint64_t cnt = sort.bin_counts[out.tile_bin[s]];

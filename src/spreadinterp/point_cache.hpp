@@ -172,9 +172,10 @@ inline int tile_chunk_cap(int requested) {
 /// Builds the TileSet for the current bin sort: geometry gate, tile coloring,
 /// active tiles grouped by color, the canonical chunk split, and the scratch
 /// for B batch planes. `chunk_cap` is the per-chunk point cap: 0 = auto
-/// (max(kTileChunkMin, ceil(M / (4 * hardware threads))) — a points-per-worker
-/// heuristic that is deliberately independent of the device's worker count),
-/// > 0 = explicit, < 0 = never split (one chunk per tile). Returns out.usable.
+/// (max(kTileChunkMin, ceil(Mc / (4 * hardware threads))), Mc the points of
+/// the fullest color — a per-color points-per-worker heuristic that is
+/// deliberately independent of the device's worker count), > 0 = explicit,
+/// < 0 = never split (one chunk per tile). Returns out.usable.
 template <typename T>
 bool build_tile_set(vgpu::Device& dev, const GridSpec& grid, const BinSpec& bins, int w,
                     const DeviceSort& sort, int B, TileSet<T>& out, int chunk_cap = 0);

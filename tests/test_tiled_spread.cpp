@@ -724,7 +724,7 @@ TEST(TiledSpread, MtipMergeShapeTiledBitwiseAndAccurate) {
 
 // ---- tile shape selection ----------------------------------------------------
 
-TEST(TiledSpread, UserBinsizeHonoredAndTileShapeFollowsMethod) {
+TEST(TiledSpread, UserBinsizeHonoredAndWidthAwareTilesOtherwise) {
   // 3D fp32 at tol 1e-5 (w = 6, pad 3) on nf {32, 32, 24}; 4000 uniform
   // points occupy every tile of each shape below.
   const std::vector<std::int64_t> modes{16, 16, 12};
@@ -746,9 +746,10 @@ TEST(TiledSpread, UserBinsizeHonoredAndTileShapeFollowsMethod) {
   };
   // A user-set binsize is used as given: 4 x 4 x 4 bins of 8 x 8 x 6.
   EXPECT_EQ(tiles_of(core::Method::GMSort, {8, 8, 6}), 64u);
-  // GM-sort with binsize unset sizes tiles by width: about 4*pad = 12 but at
-  // least 16 cells, with an even tile count -> 2 x 2 x 2 tiles of 16 x 16 x 12.
+  EXPECT_EQ(tiles_of(core::Method::SM, {8, 8, 6}), 64u);
+  // With binsize unset both methods size tiles by width: about 4*pad = 12 but
+  // at least 16 cells, with an even tile count -> 2 x 2 x 2 tiles of
+  // 16 x 16 x 12 (the paper's 16 x 16 x 2 bin would give 2 x 2 x 12).
   EXPECT_EQ(tiles_of(core::Method::GMSort, {0, 0, 0}), 8u);
-  // SM keeps the paper's 16 x 16 x 2 shared-memory bin: 2 x 2 x 12 bins.
-  EXPECT_EQ(tiles_of(core::Method::SM, {0, 0, 0}), 48u);
+  EXPECT_EQ(tiles_of(core::Method::SM, {0, 0, 0}), 8u);
 }
