@@ -22,20 +22,6 @@ const char* method_name(Method m) {
 
 namespace {
 
-template <typename T>
-spread::GridSpec make_grid(std::span<const std::int64_t> nmodes, double upsampfac, int w) {
-  spread::GridSpec g;
-  g.dim = static_cast<int>(nmodes.size());
-  for (int d = 0; d < g.dim; ++d) {
-    // ceil: a non-integral sigma * N (possible at sigma = 1.25) must round up
-    // so the fine grid never under-samples. No-op at sigma = 2.
-    const auto lower = static_cast<std::int64_t>(std::ceil(upsampfac * double(nmodes[d])));
-    g.nf[d] = static_cast<std::int64_t>(
-        fft::next235(static_cast<std::size_t>(std::max<std::int64_t>(lower, 2 * w))));
-  }
-  return g;
-}
-
 /// Tile edge for the tiled spread engine on one axis: about 4*pad cells (never
 /// below the paper's bin edge, 32 in 2D and 16 in 3D), so the halo stays a
 /// modest share of the padded tile, with the tile count rounded to an even
@@ -66,18 +52,15 @@ Plan<T>::Plan(vgpu::Device& dev, int type, std::span<const std::int64_t> nmodes,
       opts_(opts),
       kp_(spread::KernelParams<T>::from_width(
           spread::width_from_tol(tol, opts.upsampfac), opts.upsampfac)),
-      fft_(dev.pool(), fft_dims(make_grid<T>(nmodes, opts.upsampfac,
-                                             spread::width_from_tol(tol, opts.upsampfac)))) {
+      // make_fine_grid validates the mode shape and the fine grid's index
+      // range before fft_ allocates its per-axis twiddle tables.
+      grid_(spread::make_fine_grid(nmodes, opts.upsampfac, kp_.w)),
+      fft_(dev.pool(), fft_dims(grid_)) {
   if (type_ != 1 && type_ != 2) throw std::invalid_argument("Plan: type must be 1 or 2");
-  if (nmodes.empty() || nmodes.size() > 3)
-    throw std::invalid_argument("Plan: dim must be 1..3");
   if (opts_.upsampfac != 2.0 && opts_.upsampfac != 1.25)
     throw std::invalid_argument("Plan: upsampfac must be 2.0 or 1.25");
-  for (auto n : nmodes)
-    if (n < 1) throw std::invalid_argument("Plan: modes must be >= 1");
 
   for (std::size_t d = 0; d < nmodes.size(); ++d) N_[d] = nmodes[d];
-  grid_ = make_grid<T>(nmodes, opts_.upsampfac, kp_.w);
 
   if (opts_.kerevalmeth == 1)
     spread::horner_cache<T>(kp_.w, opts_.upsampfac).attach(kp_);
@@ -153,6 +136,8 @@ const std::uint32_t* Plan<T>::iter_order(std::size_t& n_nowrap) const {
 
 template <typename T>
 void Plan<T>::set_points(std::size_t M, const T* x, const T* y, const T* z) {
+  if (M > spread::kMaxPoints)
+    throw std::invalid_argument("set_points: M exceeds the 32-bit point index");
   if (grid_.dim >= 2 && !y) throw std::invalid_argument("set_points: y required");
   if (grid_.dim >= 3 && !z) throw std::invalid_argument("set_points: z required");
   std::lock_guard lk(mu_);  // a shared plan may be re-pointed while others wait
@@ -271,6 +256,7 @@ void Plan<T>::spread_step(const cplx* c, int B, Breakdown& bd) {
             *dev_, grid_, bins_, kp_, pts, c, fw_.data(), sort_, cache_.tiles,
             cache_.taps.empty() ? nullptr : &cache_.taps, B, M_, fwstride);
         bd.tiled = 1;
+        bd.tap_bytes = cache_.taps.bytes();
       } else {
         std::size_t nowrap = 0;
         const std::uint32_t* order = iter_order(nowrap);
@@ -291,6 +277,7 @@ void Plan<T>::spread_step(const cplx* c, int B, Breakdown& bd) {
                                    subs_, opts_.msub, cache_.taps, B, M_, fwstride);
         bd.atomic_reason = AtomicReason::TileGate;
       }
+      bd.tap_bytes = cache_.taps.bytes();
       break;
     default:
       throw std::logic_error("unresolved method");
@@ -309,38 +296,6 @@ void Plan<T>::interp_step(cplx* c, int B) {
                           static_cast<std::size_t>(grid_.total()));
 }
 
-// Type-1 step 3 (paper eq. (10)): truncate to the central modes and scale.
-// One launch covers the whole ntransf stack, with the per-mode index math and
-// correction-factor product computed once per mode.
-template <typename T>
-void Plan<T>::deconvolve_type1(cplx* f, int B) {
-  const auto N = N_;
-  const auto nf = grid_.nf;
-  const int mo = opts_.modeord;
-  const std::int64_t ntot = modes_total();
-  const std::size_t fwstride = static_cast<std::size_t>(grid_.total());
-  const T* p0 = fser_[0].data();
-  const T* p1 = fser_[1].data();
-  const T* p2 = fser_[2].data();
-  const cplx* fw = fw_.data();
-  dev_->launch_items(static_cast<std::size_t>(ntot), 256,
-                     [=, this](std::size_t i, vgpu::BlockCtx&) {
-    const std::int64_t i0 = static_cast<std::int64_t>(i) % N[0];
-    const std::int64_t i1 = (static_cast<std::int64_t>(i) / N[0]) % N[1];
-    const std::int64_t i2 = static_cast<std::int64_t>(i) / (N[0] * N[1]);
-    const std::int64_t k0 = spread::index_to_mode(i0, N[0], mo);
-    const std::int64_t k1 = spread::index_to_mode(i1, N[1], mo);
-    const std::int64_t k2 = spread::index_to_mode(i2, N[2], mo);
-    const std::int64_t g0 = spread::wrap_index(k0, nf[0]);
-    const std::int64_t g1 = spread::wrap_index(k1, nf[1]);
-    const std::int64_t g2 = spread::wrap_index(k2, nf[2]);
-    const T p = p0[k0 + N[0] / 2] * p1[k1 + N[1] / 2] * p2[k2 + N[2] / 2];
-    const std::int64_t lin = g0 + nf[0] * (g1 + nf[1] * g2);
-    for (int b = 0; b < B; ++b)
-      f[b * static_cast<std::size_t>(ntot) + i] = fw[b * fwstride + lin] * p;
-  });
-}
-
 template <typename T>
 Breakdown Plan<T>::execute(cplx* c, cplx* f, int B) {
   std::lock_guard lk(mu_);  // shared plans serialize; each caller snapshots
@@ -357,38 +312,49 @@ Breakdown Plan<T>::execute(cplx* c, cplx* f, int B) {
   Breakdown bd = bd_;
   bd.spread = bd.fft = bd.deconvolve = bd.interp = 0;
   bd.chunk_steals = 0;  // per-execute counter, refilled by a tiled spread_step
+  bd.tap_bytes = 0;     // likewise, refilled by a spread that reads the table
   if (cache_.valid) cache_hits_.fetch_add(1, std::memory_order_relaxed);
   // A coalesced batch larger than the constructed ntransf grows the fine-grid
   // stack once; the batch-strided stages take B as a plain parameter.
   const std::size_t fwstride = static_cast<std::size_t>(grid_.total());
   if (static_cast<std::size_t>(B) * fwstride > fw_.size())
     fw_ = vgpu::device_buffer<cplx>(*dev_, static_cast<std::size_t>(B) * fwstride);
-  // One stage pipeline for every batch size: batch-strided spread/interp,
-  // one batched FFT launch over the B planes, one deconvolve launch (type-2's
-  // amplify is fused into the FFT's first-axis pass). B = 1 runs the same
-  // kernels at batch size one.
+  // One stage pipeline for every batch size: batch-strided spread/interp and
+  // one batched FFT over the B planes, pruned to the lines that reach the
+  // retained modes, with the type-1 deconvolve and the type-2 amplify fused
+  // into its last and first pass. B = 1 runs the same kernels at batch size
+  // one.
+  const std::size_t ntot = static_cast<std::size_t>(modes_total());
+  const typename fft::FftNd<T>::Extents keep{static_cast<std::size_t>(N_[0]),
+                                             static_cast<std::size_t>(N_[1]),
+                                             static_cast<std::size_t>(N_[2])};
   Timer t;
   if (type_ == 1) {
     spread_step(c, B, bd);
     bd.spread = t.seconds();
     t.reset();
-    fft_.exec_batch(fw_.data(), static_cast<std::size_t>(B), fwstride, iflag_);
+    // FFT + deconvolve (type-1 steps 2-3, paper eq. (10)): the last axis
+    // pass hands each line at retained modes to deconvolve_line, which
+    // writes the truncated, corrected modes straight into f. Its cost is
+    // reported under bd.fft.
+    bd.fft_lines = fft_.exec_batch(
+        fw_.data(), static_cast<std::size_t>(B), fwstride, iflag_, keep,
+        [&](const cplx* line, std::size_t pos, std::size_t b) {
+          spread::deconvolve_line(line, pos, f + b * ntot, grid_.dim, N_, grid_.nf, fser_,
+                                  opts_.modeord);
+        });
     bd.fft = t.seconds();
-    t.reset();
-    deconvolve_type1(f, B);
-    bd.deconvolve = t.seconds();
   } else {
     // Fused amplify + FFT (type-2 step 1, paper eq. (11)): fw_'s rows are
     // produced by amplify_fine_row inside the first-axis pass (zero-padding
     // rows skip their transforms entirely), removing the separate amplify
     // write pass over the B-plane fine grid. Its cost is reported under
     // bd.fft.
-    fft_.exec_batch_fused(
-        fw_.data(), static_cast<std::size_t>(B), fwstride, iflag_,
+    bd.fft_lines = fft_.exec_batch_fused(
+        fw_.data(), static_cast<std::size_t>(B), fwstride, iflag_, keep,
         [&](cplx* row, std::size_t line, std::size_t b) {
-          return spread::amplify_fine_row(
-              row, line, f + b * static_cast<std::size_t>(modes_total()), grid_.dim,
-              N_, grid_.nf, fser_, opts_.modeord);
+          return spread::amplify_fine_row(row, line, f + b * ntot, grid_.dim, N_, grid_.nf,
+                                          fser_, opts_.modeord);
         });
     bd.fft = t.seconds();
     t.reset();

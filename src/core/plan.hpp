@@ -12,10 +12,13 @@
 // ES kernel width rule (eq. (6) at the paper's sigma = 2; the FINUFFT rule
 // at the low-upsampling sigma = 1.25, see Options::upsampfac).
 //
-// Execute is a stage pipeline over batch-strided stages (spread | fft |
-// deconvolve for type 1; fused amplify+fft | interp for type 2); ntransf = B
-// stacked vectors run every stage once, and B = 1 is simply the same pipeline
-// at batch size one. All point-dependent precomputation — fold-rescale,
+// Execute is a stage pipeline over batch-strided stages (spread | fft with
+// the deconvolve fused into its last pass for type 1; fft with the amplify
+// fused into its first pass | interp for type 2); ntransf = B stacked vectors
+// run every stage once, and B = 1 is simply the same pipeline at batch size
+// one. The FFT runs only the 1D lines whose results reach the retained modes
+// (see fft/fftnd.hpp), with outputs bitwise-identical to the full transform.
+// All point-dependent precomputation — fold-rescale,
 // bin-sort, the SM tap table, the interior-first iteration partition, and
 // the tile coloring and schedule of the atomic-free spread writeback — lives
 // in a plan-resident PointCache built by set_points and reused by every
@@ -115,9 +118,16 @@ struct Breakdown {
   double cache_build = 0; ///< PointCache build incl. tile set / subproblem
                           ///< setup where needed (in set_points)
   double spread = 0;      ///< type-1 step 1
-  double fft = 0;         ///< step 2 (for type 2 includes the fused amplify)
-  double deconvolve = 0;  ///< type-1 step 3 (type-2 amplify is fused into fft)
+  double fft = 0;         ///< step 2, including the type-1 deconvolve and the
+                          ///< type-2 amplify fused into its passes
+  double deconvolve = 0;  ///< always 0: the type-1 deconvolve runs inside the
+                          ///< FFT's last pass (perfbench still reports it as
+                          ///< core.deconvolve_s)
   double interp = 0;      ///< type-2 step 3
+  std::size_t fft_lines = 0;  ///< 1D transforms the last execute ran, summed over
+                              ///< axes and planes (pruned to the retained modes)
+  std::size_t tap_bytes = 0;  ///< tap-table bytes the last execute's spread read
+                              ///< (0 when taps were evaluated inline)
   std::uint64_t tap_builds = 0;   ///< lifetime tap-table constructions
   std::uint64_t cache_hits = 0;   ///< lifetime executes served by the cache
   std::size_t interior_points = 0;  ///< no-wrap-classified points (last set_points)
@@ -200,7 +210,6 @@ class Plan {
  private:
   void spread_step(const cplx* c, int B, Breakdown& bd);
   void interp_step(cplx* c, int B);
-  void deconvolve_type1(cplx* f, int B);
   spread::NuPoints<T> nu_points() const;
   const std::uint32_t* iter_order(std::size_t& n_nowrap) const;
 
@@ -212,10 +221,10 @@ class Plan {
   Method method_ = Method::Auto;
 
   std::array<std::int64_t, 3> N_{1, 1, 1};
-  spread::GridSpec grid_;
-  spread::BinSpec bins_;
   spread::KernelParams<T> kp_;  ///< kerevalmeth=1 tables live in the
                                 ///< process-wide per-(w, sigma) horner_cache
+  spread::GridSpec grid_;       ///< initialized before fft_, which it sizes
+  spread::BinSpec bins_;
 
   fft::FftNd<T> fft_;
   vgpu::device_buffer<cplx> fw_;          ///< fine grid (ntransf stacked planes)

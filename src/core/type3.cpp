@@ -5,7 +5,6 @@
 #include <numbers>
 #include <stdexcept>
 
-#include "fft/fft.hpp"
 #include "spreadinterp/kernel_ft.hpp"
 #include "spreadinterp/spread.hpp"
 #include "vgpu/primitives.hpp"
@@ -58,7 +57,10 @@ void Type3Plan<T>::set_points(std::size_t M, const T* x, const T* y, const T* z,
     if (!xs[d] || !ss[d])
       throw std::invalid_argument("Type3Plan: missing coordinate array");
   if (M == 0 || K == 0) throw std::invalid_argument("Type3Plan: empty point sets");
-  M_ = M;
+  if (M > spread::kMaxPoints || K > spread::kMaxPoints)
+    throw std::invalid_argument("Type3Plan: point count exceeds the 32-bit point index");
+  // The plan holds no points until this call has rebuilt its geometry.
+  M_ = 0;
   K_ = K;
 
   // Geometry: centers, half-widths, scales, fine grid (see header comment).
@@ -80,13 +82,11 @@ void Type3Plan<T>::set_points(std::size_t M, const T* x, const T* y, const T* z,
     double X;
     if (!center_halfwidth(xs[d], M, xc_[d], X) ||
         !center_halfwidth(ss[d], K, sc_[d], Sw[d])) {
-      M_ = 0;  // the plan holds no points until a valid set_points
       throw std::invalid_argument("Type3Plan: non-finite coordinate");
     }
     gam_[d] = sigma_s * X / std::numbers::pi;
     const double band = 2.0 * gam_[d] * Sw[d] + w;  // modes the targets touch
-    grid_.nf[d] = static_cast<std::int64_t>(fft::next235(static_cast<std::size_t>(
-        std::max(std::ceil(sigma * band), double(2 * w)))));
+    grid_.nf[d] = spread::fine_grid_size(sigma * band, w);
   }
   auto bsz = opts_.binsize[0] > 0 ? opts_.binsize : spread::BinSpec::default_size(dim_);
   bins_ = spread::BinSpec::make(grid_, bsz);
@@ -95,6 +95,7 @@ void Type3Plan<T>::set_points(std::size_t M, const T* x, const T* y, const T* z,
     method_ = spread::sm_fits<T>(*dev_, grid_, bins_, w) ? Method::SM : Method::GMSort;
   if (method_ == Method::SM && !spread::sm_fits<T>(*dev_, grid_, bins_, w))
     throw std::invalid_argument("Type3Plan: SM padded bin exceeds shared memory");
+  M_ = M;
 
   std::vector<std::size_t> dims;
   for (int d = 0; d < dim_; ++d) dims.push_back(static_cast<std::size_t>(grid_.nf[d]));

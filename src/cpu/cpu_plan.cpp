@@ -7,26 +7,12 @@
 #include <thread>
 
 #include "common/timer.hpp"
-#include "fft/fft.hpp"
 #include "spreadinterp/kernel_ft.hpp"
 #include "spreadinterp/spread_impl.hpp"
 
 namespace cf::cpu {
 
 namespace {
-
-template <typename T>
-spread::GridSpec make_grid(std::span<const std::int64_t> nmodes, double upsampfac, int w) {
-  spread::GridSpec g;
-  g.dim = static_cast<int>(nmodes.size());
-  for (int d = 0; d < g.dim; ++d) {
-    const auto lower =
-        static_cast<std::int64_t>(std::ceil(upsampfac * double(nmodes[d])));
-    g.nf[d] = static_cast<std::int64_t>(fft::next235(
-        static_cast<std::size_t>(std::max<std::int64_t>(lower, 2 * w))));
-  }
-  return g;
-}
 
 template <typename T>
 inline void atomic_add_cplx(std::complex<T>* p, std::complex<T> v) {
@@ -125,7 +111,7 @@ CpuPlan<T>::CpuPlan(ThreadPool& pool, int type, std::span<const std::int64_t> nm
   if (opts_.upsampfac != 2.0 && opts_.upsampfac != 1.25)
     throw std::invalid_argument("CpuPlan: upsampfac must be 2.0 or 1.25");
   for (std::size_t d = 0; d < nmodes.size(); ++d) N_[d] = nmodes[d];
-  grid_ = make_grid<T>(nmodes, opts_.upsampfac, kp_.w);
+  grid_ = spread::make_fine_grid(nmodes, opts_.upsampfac, kp_.w);
   if (opts_.kerevalmeth == 1)
     spread::horner_cache<T>(kp_.w, opts_.upsampfac).attach(kp_);
   auto bsz = opts_.binsize[0] > 0 ? opts_.binsize : spread::BinSpec::default_size(grid_.dim);
@@ -150,6 +136,8 @@ CpuPlan<T>::CpuPlan(ThreadPool& pool, int type, std::span<const std::int64_t> nm
 
 template <typename T>
 void CpuPlan<T>::set_points(std::size_t M, const T* x, const T* y, const T* z) {
+  if (M > spread::kMaxPoints)
+    throw std::invalid_argument("set_points: M exceeds the 32-bit point index");
   if (grid_.dim >= 2 && !y) throw std::invalid_argument("set_points: y required");
   if (grid_.dim >= 3 && !z) throw std::invalid_argument("set_points: z required");
   std::lock_guard lk(mu_);  // a shared plan may be re-pointed while others wait
@@ -667,32 +655,6 @@ void CpuPlan<T>::interp_sorted(cplx* c, int B) {
 }
 
 template <typename T>
-void CpuPlan<T>::deconvolve_type1(cplx* f, int B) {
-  const auto& N = N_;
-  const auto& nf = grid_.nf;
-  const int mo = opts_.modeord;
-  const std::int64_t ntot = modes_total();
-  const std::size_t ftot = static_cast<std::size_t>(grid_.total());
-  pool_->parallel_for(0, static_cast<std::size_t>(ntot), [&](std::size_t i, std::size_t) {
-    const std::int64_t i0 = static_cast<std::int64_t>(i) % N[0];
-    const std::int64_t i1 = (static_cast<std::int64_t>(i) / N[0]) % N[1];
-    const std::int64_t i2 = static_cast<std::int64_t>(i) / (N[0] * N[1]);
-    const std::int64_t k0 = spread::index_to_mode(i0, N[0], mo);
-    const std::int64_t k1 = spread::index_to_mode(i1, N[1], mo);
-    const std::int64_t k2 = spread::index_to_mode(i2, N[2], mo);
-    const std::int64_t g0 = spread::wrap_index(k0, nf[0]);
-    const std::int64_t g1 = spread::wrap_index(k1, nf[1]);
-    const std::int64_t g2 = spread::wrap_index(k2, nf[2]);
-    const T p =
-        fser_[0][k0 + N[0] / 2] * fser_[1][k1 + N[1] / 2] * fser_[2][k2 + N[2] / 2];
-    const std::size_t lin =
-        static_cast<std::size_t>(g0 + nf[0] * (g1 + nf[1] * g2));
-    for (int b = 0; b < B; ++b)
-      f[b * static_cast<std::size_t>(ntot) + i] = fw_[ftot * b + lin] * p;
-  }, 1024);
-}
-
-template <typename T>
 CpuBreakdown CpuPlan<T>::execute(cplx* c, cplx* f, int B) {
   std::lock_guard lk(mu_);  // shared plans serialize; each caller snapshots
   if (B <= 0) B = std::max(1, opts_.ntransf);
@@ -702,12 +664,16 @@ CpuBreakdown CpuPlan<T>::execute(cplx* c, cplx* f, int B) {
     return bd_;
   }
   CpuBreakdown bd = bd_;  // per-execute snapshot over the set_points-era sort
-  bd.spread = bd.fft = bd.deconvolve = bd.interp = 0;
+  bd.spread = bd.fft = bd.interp = 0;
   // One stage pipeline for every batch size, mirroring the device library; a
   // coalesced batch beyond the constructed ntransf grows the stack once.
   const std::size_t ftot = static_cast<std::size_t>(grid_.total());
   if (static_cast<std::size_t>(B) * ftot > fw_.size())
     fw_.resize(static_cast<std::size_t>(B) * ftot);
+  const std::size_t ntot = static_cast<std::size_t>(modes_total());
+  const typename fft::FftNd<T>::Extents keep{static_cast<std::size_t>(N_[0]),
+                                             static_cast<std::size_t>(N_[1]),
+                                             static_cast<std::size_t>(N_[2])};
   Timer t;
   if (type_ == 1) {
     std::fill(fw_.begin(), fw_.begin() + static_cast<std::ptrdiff_t>(B * ftot),
@@ -718,19 +684,23 @@ CpuBreakdown CpuPlan<T>::execute(cplx* c, cplx* f, int B) {
       spread_sorted(c, B);
     bd.spread = t.seconds();
     t.reset();
-    fft_->exec_batch(fw_.data(), static_cast<std::size_t>(B), ftot, iflag_);
+    // Pruned FFT with the deconvolve in its last pass, sharing the line sink
+    // with the device library.
+    bd.fft_lines = fft_->exec_batch(
+        fw_.data(), static_cast<std::size_t>(B), ftot, iflag_, keep,
+        [&](const cplx* line, std::size_t pos, std::size_t b) {
+          spread::deconvolve_line(line, pos, f + b * ntot, grid_.dim, N_, grid_.nf, fser_,
+                                  opts_.modeord);
+        });
     bd.fft = t.seconds();
-    t.reset();
-    deconvolve_type1(f, B);
-    bd.deconvolve = t.seconds();
   } else {
-    // Fused amplify + FFT, sharing the row producer with the device library.
-    fft_->exec_batch_fused(
-        fw_.data(), static_cast<std::size_t>(B), ftot, iflag_,
+    // Fused amplify + pruned FFT, sharing the row producer with the device
+    // library.
+    bd.fft_lines = fft_->exec_batch_fused(
+        fw_.data(), static_cast<std::size_t>(B), ftot, iflag_, keep,
         [&](cplx* row, std::size_t line, std::size_t b) {
-          return spread::amplify_fine_row(
-              row, line, f + b * static_cast<std::size_t>(modes_total()), grid_.dim,
-              N_, grid_.nf, fser_, opts_.modeord);
+          return spread::amplify_fine_row(row, line, f + b * ntot, grid_.dim, N_, grid_.nf,
+                                          fser_, opts_.modeord);
         });
     bd.fft = t.seconds();
     t.reset();

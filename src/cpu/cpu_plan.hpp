@@ -9,13 +9,15 @@
 // writeback; deterministic at any pool size), falling back to FINUFFT's
 // atomic padded-bin merge only when the tile geometry gate or arena cap
 // fails; interpolation is a plain parallel gather
-// over sorted points; the FFT runs on the host pool.
+// over sorted points; the FFT (pruned to the lines that reach the retained
+// modes) runs on the host pool.
 //
 // Mirrors the device library's stage-pipeline shape: every stage is
 // batch-strided (ntransf = B stacked vectors, weights evaluated once per
 // point) with B = 1 as the plain single-vector case, the spread point loops
 // get the same compile-time width dispatch as the device kernels, and
-// type-2's amplify is fused into the FFT's first-axis gather.
+// type-2's amplify and type-1's deconvolve are fused into the FFT's first and
+// last axis pass.
 #pragma once
 
 #include <array>
@@ -37,10 +39,12 @@ namespace cf::cpu {
 struct CpuBreakdown {
   double sort = 0;
   double spread = 0;
-  double fft = 0;        ///< for type 2 includes the fused amplify
-  double deconvolve = 0;
+  double fft = 0;        ///< includes the type-1 deconvolve and the type-2
+                         ///< amplify fused into its passes
   double interp = 0;
-  double total() const { return spread + fft + deconvolve + interp; }
+  std::size_t fft_lines = 0;  ///< 1D transforms the last execute ran (all axes
+                              ///< and planes)
+  double total() const { return spread + fft + interp; }
 };
 
 /// CPU NUFFT plan; same plan/setpts/execute lifecycle and mode conventions as
@@ -93,13 +97,13 @@ class CpuPlan {
   CpuBreakdown execute(cplx* c, cplx* f, int B = 0);
 
  private:
-  // Batch-strided stages; B = 1 is the single-vector case. The fused type-2
-  // amplify row producer is the shared spread::amplify_fine_row.
+  // Batch-strided stages; B = 1 is the single-vector case. The FFT's fused
+  // type-2 amplify row producer and type-1 deconvolve line sink are the
+  // shared spread::amplify_fine_row and spread::deconvolve_line.
   void spread_sorted(const cplx* c, int B);
   void spread_tiled(const cplx* c, int B);
   void build_tile_cache();
   void interp_sorted(cplx* c, int B);
-  void deconvolve_type1(cplx* f, int B);
 
   ThreadPool* pool_;
   int type_;

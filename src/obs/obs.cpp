@@ -84,7 +84,6 @@ const char* span_name(SpanKind k) {
     case SpanKind::StageCacheBuild: return "stage.cache_build";
     case SpanKind::StageSpread: return "stage.spread";
     case SpanKind::StageFft: return "stage.fft";
-    case SpanKind::StageDeconvolve: return "stage.deconvolve";
     case SpanKind::StageInterp: return "stage.interp";
     case SpanKind::Route: return "route";
     case SpanKind::RouteMigrate: return "route_migrate";
@@ -136,7 +135,6 @@ void execute_spans(std::uint64_t trace, double t0_us, double exec_us,
   const std::pair<SpanKind, double> stages[] = {
       {SpanKind::StageSpread, bd.spread},
       {SpanKind::StageFft, bd.fft},
-      {SpanKind::StageDeconvolve, bd.deconvolve},
       {SpanKind::StageInterp, bd.interp},
   };
   for (const auto& [kind, sec] : stages) {
@@ -432,7 +430,6 @@ ServiceMetrics::ServiceMetrics(const std::string& name) {
   stage_sort_us = &reg_.histogram("stage_sort_us");
   stage_spread_us = &reg_.histogram("stage_spread_us");
   stage_fft_us = &reg_.histogram("stage_fft_us");
-  stage_deconvolve_us = &reg_.histogram("stage_deconvolve_us");
   stage_interp_us = &reg_.histogram("stage_interp_us");
   std::lock_guard lk(services_mu());
   services().push_back(this);
@@ -456,7 +453,6 @@ void ServiceMetrics::record_execute(const core::Breakdown& bd, int batch,
   // it only on dispatches that actually rebuilt the point set.
   if (bd.spread > 0) stage_spread_us->record(bd.spread * 1e6);
   if (bd.fft > 0) stage_fft_us->record(bd.fft * 1e6);
-  if (bd.deconvolve > 0) stage_deconvolve_us->record(bd.deconvolve * 1e6);
   if (bd.interp > 0) stage_interp_us->record(bd.interp * 1e6);
 }
 

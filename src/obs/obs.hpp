@@ -66,8 +66,7 @@ enum class SpanKind : std::uint8_t {
   StageSort,      ///< Breakdown children (laid out sequentially from the
   StageCacheBuild,///< parent span's t0 — the paper's per-stage cost anatomy)
   StageSpread,
-  StageFft,
-  StageDeconvolve,
+  StageFft,       ///< includes the type-1 deconvolve and type-2 amplify
   StageInterp,
   Route,          ///< sharded front tier; arg = target shard
   RouteMigrate,   ///< signature moved off a saturated shard; arg = new shard
@@ -287,7 +286,6 @@ class ServiceMetrics {
   Histogram* stage_sort_us;
   Histogram* stage_spread_us;
   Histogram* stage_fft_us;
-  Histogram* stage_deconvolve_us;
   Histogram* stage_interp_us;
 
   /// Batched-execute bookkeeping: batch/execute histograms, batch counters,

@@ -82,8 +82,8 @@ class CpuBackendPlan final : public TypedPlan<T> {
     bd.sort = cb.sort;
     bd.spread = cb.spread;
     bd.fft = cb.fft;
-    bd.deconvolve = cb.deconvolve;
     bd.interp = cb.interp;
+    bd.fft_lines = cb.fft_lines;
     return bd;
   }
   std::int64_t modes_total() const override { return plan_.modes_total(); }

@@ -1,11 +1,15 @@
 // Fine-grid and bin geometry shared by the spreading/interpolation kernels.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdint>
 #include <numbers>
+#include <span>
 #include <stdexcept>
+
+#include "fft/fft.hpp"
 
 namespace cf::spread {
 
@@ -17,6 +21,44 @@ struct GridSpec {
 
   std::int64_t total() const { return nf[0] * nf[1] * nf[2]; }
 };
+
+/// Index widths. Sort orders, bin offsets and chunk offsets hold uint32 point
+/// indices, and TapTable::l0 holds int32 fine-grid indices: set_points
+/// rejects more points than kMaxPoints, and a plan rejects a fine-grid axis
+/// longer than kMaxFineGrid, instead of letting either wrap.
+inline constexpr std::uint64_t kMaxPoints = UINT32_MAX;
+inline constexpr std::int64_t kMaxFineGrid = INT32_MAX;
+
+/// Fine-grid length for a band that must be resolved at `lower` points (at
+/// least 2w): the next 2^a 3^b 5^c size. Throws std::invalid_argument beyond
+/// kMaxFineGrid, before anything of that size is allocated.
+inline std::int64_t fine_grid_size(double lower, int w) {
+  lower = std::max(std::ceil(lower), double(2 * w));
+  if (!(lower <= double(kMaxFineGrid)))
+    throw std::invalid_argument("fine grid exceeds the 32-bit index range");
+  const auto nf = static_cast<std::int64_t>(fft::next235(static_cast<std::size_t>(lower)));
+  if (nf > kMaxFineGrid)
+    throw std::invalid_argument("fine grid exceeds the 32-bit index range");
+  return nf;
+}
+
+/// The upsampled fine grid of a type-1/2 plan: nf[d] = next235 of
+/// ceil(sigma * N[d]) (a non-integral sigma * N, possible at sigma = 1.25,
+/// rounds up so the grid never under-samples) and at least 2w. Throws
+/// std::invalid_argument unless there are 1..3 axes of N >= 1 modes, or when
+/// an axis exceeds kMaxFineGrid.
+inline GridSpec make_fine_grid(std::span<const std::int64_t> nmodes, double upsampfac,
+                               int w) {
+  if (nmodes.empty() || nmodes.size() > 3)
+    throw std::invalid_argument("plan: dim must be 1..3");
+  GridSpec g;
+  g.dim = static_cast<int>(nmodes.size());
+  for (int d = 0; d < g.dim; ++d) {
+    if (nmodes[d] < 1) throw std::invalid_argument("plan: modes must be >= 1");
+    g.nf[d] = fine_grid_size(upsampfac * double(nmodes[d]), w);
+  }
+  return g;
+}
 
 /// Cartesian bins covering the fine grid (paper Sec. III-A). Bins are ordered
 /// x-fastest, echoing the fine-grid ordering; edge bins may be smaller.

@@ -125,4 +125,37 @@ inline bool amplify_fine_row(std::complex<T>* row, std::size_t line,
   return true;
 }
 
+/// Type-1 step 3 (paper eq. (10)) as the line sink of the pruned type-1 FFT
+/// (FftNd::exec_batch with keep = N), shared by the device and CPU plans:
+/// `line` is one transformed fine-grid line along the last axis L = dim - 1,
+/// at position `pos` of the kept box of the axes before L (x-fastest over the
+/// N[d] retained modes of each, in wrapped order: 0, 1, .., then -N/2, ..,
+/// -1). Writes the line's N[L] retained modes, scaled by p0 * p1 * p2 in that
+/// order, into `fb`, one batch plane's mode grid (length N[0]*N[1]*N[2]).
+/// `fser` as in amplify_fine_row.
+template <typename T>
+inline void deconvolve_line(const std::complex<T>* line, std::size_t pos,
+                            std::complex<T>* fb, int dim,
+                            const std::array<std::int64_t, 3>& N,
+                            const std::array<std::int64_t, 3>& nf,
+                            const std::array<std::vector<T>, 3>& fser, int modeord) {
+  std::int64_t g[3] = {0, 0, 0}, i[3] = {0, 0, 0}, k[3] = {0, 0, 0};
+  auto place = [&](int d, std::int64_t j) {
+    g[d] = j < N[d] - N[d] / 2 ? j : nf[d] - N[d] + j;
+    i[d] = grid_to_index(g[d], N[d], nf[d], modeord);
+    k[d] = index_to_mode(i[d], N[d], modeord);
+  };
+  const int L = dim - 1;
+  for (int d = 0; d < L; ++d) {
+    place(d, static_cast<std::int64_t>(pos % static_cast<std::size_t>(N[d])));
+    pos /= static_cast<std::size_t>(N[d]);
+  }
+  for (std::int64_t j = 0; j < N[L]; ++j) {
+    place(L, j);
+    const T p = fser[0][k[0] + N[0] / 2] * fser[1][k[1] + N[1] / 2] *
+                fser[2][k[2] + N[2] / 2];
+    fb[i[0] + N[0] * (i[1] + N[1] * i[2])] = line[g[L]] * p;
+  }
+}
+
 }  // namespace cf::spread

@@ -51,6 +51,7 @@ struct TapTable {
   int wpad = 0;
 
   bool empty() const { return vals.empty(); }
+  std::size_t bytes() const { return vals.bytes() + l0.bytes(); }
 };
 
 /// Builds the tap table for M points. `order` selects iteration order (the

@@ -128,7 +128,17 @@ TEST(CApi, InvalidArgumentsReturnErrorCodes) {
   std::vector<double> x(10, 0.0);
   EXPECT_EQ(cfs_setpts(plan, 10, x.data(), nullptr, nullptr), CFS_ERR_INVALID_ARG);
   EXPECT_EQ(cfs_execute(nullptr, nullptr, nullptr), CFS_ERR_INVALID_ARG);
+  // Index widths: more points than a uint32 sort order indexes (rejected
+  // before any coordinate is read), and a fine grid beyond INT32_MAX.
+  std::vector<double> y(10, 0.0);
+  const size_t huge = size_t(std::numeric_limits<uint32_t>::max()) + 1;
+  EXPECT_EQ(cfs_setpts(plan, huge, x.data(), y.data(), nullptr), CFS_ERR_INVALID_ARG);
   cfs_destroy(plan);
+  const int64_t big[2] = {16, int64_t(1) << 30};
+  EXPECT_EQ(cfs_makeplan(g.dev, 1, 2, big, +1, 1e-6, nullptr, &plan), CFS_ERR_INVALID_ARG);
+  cfs_planf planf = nullptr;
+  EXPECT_EQ(cfs_makeplanf(g.dev, 2, 2, big, +1, 1e-3, nullptr, &planf),
+            CFS_ERR_INVALID_ARG);
 }
 
 TEST(CApi, CustomBinSizeAndMsub) {

@@ -256,6 +256,40 @@ TEST(CpuPlan, BreakdownPopulated) {
   EXPECT_GT(bd.sort, 0.0);
   EXPECT_GT(bd.spread, 0.0);
   EXPECT_GT(bd.fft, 0.0);
+  // Pruned type-1 passes: nf1 lines on axis 0, N0 on axis 1.
+  const auto& g = plan.fine_grid();
+  EXPECT_EQ(bd.fft_lines, static_cast<std::size_t>(g.nf[1] + 48));
+}
+
+TEST(CpuPlan, FftLinesCountThePrunedPasses) {
+  ThreadPool pool(3);
+  Problem<double> p({12, 9, 10}, 300, 41);
+  for (int type : {1, 2}) {
+    cpu::CpuPlan<double> plan(pool, type, p.N, +1, 1e-6);
+    plan.set_points(p.M, p.x.data(), p.y.data(), p.z.data());
+    std::vector<std::complex<double>> c = p.c, f = p.f;
+    const auto bd = plan.execute(c.data(), f.data());
+    const auto& g = plan.fine_grid();
+    const auto want = type == 1 ? g.nf[1] * g.nf[2] + 12 * g.nf[2] + 12 * 9
+                                : 9 * 10 + g.nf[0] * 10 + g.nf[0] * g.nf[1];
+    EXPECT_EQ(bd.fft_lines, static_cast<std::size_t>(want)) << "type " << type;
+  }
+}
+
+TEST(CpuPlan, RejectsIndexWidthOverflow) {
+  ThreadPool pool(2);
+  // A fine-grid axis beyond INT32_MAX (2^30 modes at sigma = 2) is rejected
+  // before the FFT plans allocate their twiddle tables.
+  const std::int64_t big[2] = {8, std::int64_t(1) << 30};
+  EXPECT_THROW(cpu::CpuPlan<float>(pool, 1, std::span(big, 2), +1, 1e-3),
+               std::invalid_argument);
+  // More points than the uint32 sort order can index, rejected before any
+  // coordinate is read (the arrays hold 16).
+  const std::int64_t n[2] = {16, 16};
+  cpu::CpuPlan<double> plan(pool, 1, std::span(n, 2), +1, 1e-6);
+  std::vector<double> x(16, 0.0), y(16, 0.0);
+  const std::size_t huge = std::size_t(std::numeric_limits<std::uint32_t>::max()) + 1;
+  EXPECT_THROW(plan.set_points(huge, x.data(), y.data(), nullptr), std::invalid_argument);
 }
 
 TEST(CpuPlan, InvalidArgumentsThrow) {

@@ -2,8 +2,10 @@
 // mixtures and Bluestein sizes, algebraic properties, and N-d plans.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <complex>
+#include <cstring>
 #include <numbers>
 #include <vector>
 
@@ -11,10 +13,12 @@
 #include "common/thread_pool.hpp"
 #include "fft/fft.hpp"
 #include "fft/fftnd.hpp"
+#include "spreadinterp/kernel_ft.hpp"
 
 using cf::Rng;
 using cf::ThreadPool;
 namespace fft = cf::fft;
+namespace spread = cf::spread;
 
 namespace {
 
@@ -358,4 +362,242 @@ TEST(Fft1d, LargeSizeSmoke) {
   for (std::size_t i = 0; i < n; i += 997)
     maxerr = std::max(maxerr, std::abs(out[i] / double(n) - in[i]));
   EXPECT_LT(maxerr, 1e-10);
+}
+
+// ---- pruned passes ----------------------------------------------------------
+
+namespace {
+
+/// One pruned-FFT geometry: kept extents N (the NUFFT's modes) on a grid nf.
+struct PruneCase {
+  std::vector<std::size_t> N, nf;
+};
+
+std::vector<PruneCase> prune_cases() {
+  return {
+      {{24}, {30}},              // 1D, sigma = 1.25, even N
+      {{17}, {36}},              // 1D, sigma = 2, odd N
+      {{24, 17}, {30, 36}},      // 2D, mixed sigma, even/odd
+      {{16, 15}, {32, 30}},      // 2D, sigma = 2
+      {{12, 9, 24}, {24, 18, 30}},  // 3D, sigma = 2 and 1.25 axes
+      {{7, 10, 8}, {16, 20, 10}},   // 3D, odd N, sigma = 1.25 last axis
+  };
+}
+
+template <typename T>
+std::array<std::vector<T>, 3> random_fser(const PruneCase& pc, std::uint64_t seed) {
+  Rng rng(seed);
+  std::array<std::vector<T>, 3> fser;
+  for (std::size_t d = 0; d < 3; ++d) {
+    if (d >= pc.N.size()) {
+      fser[d].assign(1, T(1));
+      continue;
+    }
+    fser[d].resize(pc.N[d]);
+    for (auto& p : fser[d]) p = static_cast<T>(rng.uniform(0.5, 4.0));
+  }
+  return fser;
+}
+
+std::array<std::int64_t, 3> as3(const std::vector<std::size_t>& v) {
+  std::array<std::int64_t, 3> a{1, 1, 1};
+  for (std::size_t d = 0; d < v.size(); ++d) a[d] = static_cast<std::int64_t>(v[d]);
+  return a;
+}
+
+fft::FftNd<double>::Extents keep3(const std::vector<std::size_t>& N) {
+  fft::FftNd<double>::Extents k{1, 1, 1};
+  for (std::size_t d = 0; d < N.size(); ++d) k[d] = N[d];
+  return k;
+}
+
+template <typename T>
+bool same_bits(const std::complex<T>& a, const std::complex<T>& b) {
+  return std::memcmp(&a, &b, sizeof(a)) == 0;
+}
+
+template <typename T>
+void check_pruned_type1(const PruneCase& pc, int sign, int modeord) {
+  ThreadPool pool(3);
+  const std::size_t nbatch = 3;
+  fft::FftNd<T> plan(pool, pc.nf);
+  const std::size_t total = plan.total();
+  const auto N = as3(pc.N), nf = as3(pc.nf);
+  const std::size_t ntot = static_cast<std::size_t>(N[0] * N[1] * N[2]);
+  const auto fser = random_fser<T>(pc, 31 + pc.N[0]);
+  const auto in = random_signal<T>(nbatch * total, 41 + pc.nf[0]);
+
+  // Reference: full transform, then the deconvolve as a separate pass over
+  // the output modes (truncate to the central modes, scale by p0*p1*p2).
+  auto full = in;
+  plan.exec_batch(full.data(), nbatch, total, sign);
+  std::vector<std::complex<T>> want(nbatch * ntot);
+  for (std::size_t b = 0; b < nbatch; ++b)
+    for (std::size_t i = 0; i < ntot; ++i) {
+      const std::int64_t ii = static_cast<std::int64_t>(i);
+      const std::int64_t idx[3] = {ii % N[0], (ii / N[0]) % N[1], ii / (N[0] * N[1])};
+      std::int64_t k[3], g[3];
+      for (int d = 0; d < 3; ++d) {
+        k[d] = spread::index_to_mode(idx[d], N[d], modeord);
+        g[d] = spread::wrap_index(k[d], nf[d]);
+      }
+      const T p = fser[0][k[0] + N[0] / 2] * fser[1][k[1] + N[1] / 2] *
+                  fser[2][k[2] + N[2] / 2];
+      want[b * ntot + i] = full[b * total + g[0] + nf[0] * (g[1] + nf[1] * g[2])] * p;
+    }
+
+  // Pruned transform with the deconvolve sink.
+  auto data = in;
+  std::vector<std::complex<T>> got(nbatch * ntot, std::complex<T>(-7, -7));
+  plan.exec_batch(data.data(), nbatch, total, sign, keep3(pc.N),
+                  [&](const std::complex<T>* line, std::size_t pos, std::size_t b) {
+                    spread::deconvolve_line(line, pos, got.data() + b * ntot,
+                                            static_cast<int>(pc.N.size()), N, nf, fser,
+                                            modeord);
+                  });
+  for (std::size_t i = 0; i < got.size(); ++i)
+    ASSERT_TRUE(same_bits(got[i], want[i])) << "entry " << i;
+
+  // Raw kept entries, no scaling: the sink copies each line's kept outputs.
+  const std::size_t L = pc.N.size() - 1;
+  auto raw = in;
+  std::vector<std::complex<T>> kept(nbatch * ntot);
+  plan.exec_batch(raw.data(), nbatch, total, sign, keep3(pc.N),
+                  [&](const std::complex<T>* line, std::size_t pos, std::size_t b) {
+                    for (std::size_t j = 0; j < pc.N[L]; ++j)
+                      kept[b * ntot + pos + (ntot / pc.N[L]) * j] =
+                          line[spread::wrap_index(
+                              spread::index_to_mode(static_cast<std::int64_t>(j), N[L], 1),
+                              nf[L])];
+                  });
+  for (std::size_t b = 0; b < nbatch; ++b)
+    for (std::size_t i = 0; i < ntot; ++i) {
+      // Position i of the kept box, x-fastest, each axis in wrapped order.
+      std::size_t rest = i, off = 0, stride = 1;
+      for (std::size_t d = 0; d < pc.N.size(); ++d) {
+        const auto j = static_cast<std::int64_t>(rest % pc.N[d]);
+        rest /= pc.N[d];
+        off += static_cast<std::size_t>(
+                   spread::wrap_index(spread::index_to_mode(j, N[d], 1), nf[d])) *
+               stride;
+        stride *= pc.nf[d];
+      }
+      ASSERT_TRUE(same_bits(kept[b * ntot + i], full[b * total + off])) << "kept " << i;
+    }
+}
+
+template <typename T>
+void check_pruned_type2(const PruneCase& pc, int sign, int modeord) {
+  ThreadPool pool(3);
+  const std::size_t nbatch = 3;
+  fft::FftNd<T> plan(pool, pc.nf);
+  const std::size_t total = plan.total();
+  const auto N = as3(pc.N), nf = as3(pc.nf);
+  const std::size_t ntot = static_cast<std::size_t>(N[0] * N[1] * N[2]);
+  const std::size_t rows = total / pc.nf[0];
+  const auto fser = random_fser<T>(pc, 51 + pc.N[0]);
+  const auto f = random_signal<T>(nbatch * ntot, 61 + pc.nf[0]);
+  const int dim = static_cast<int>(pc.N.size());
+  auto fill = [&](std::complex<T>* row, std::size_t line, std::size_t b) {
+    return spread::amplify_fine_row(row, line, f.data() + b * ntot, dim, N, nf, fser,
+                                    modeord);
+  };
+
+  // Reference: the amplified, zero-padded grid through the full transform.
+  std::vector<std::complex<T>> want(nbatch * total);
+  for (std::size_t b = 0; b < nbatch; ++b)
+    for (std::size_t line = 0; line < rows; ++line) {
+      std::complex<T>* row = want.data() + b * total + line * pc.nf[0];
+      if (!fill(row, line, b)) std::fill(row, row + pc.nf[0], std::complex<T>(0, 0));
+    }
+  plan.exec_batch(want.data(), nbatch, total, sign);
+
+  std::vector<std::complex<T>> got(nbatch * total, std::complex<T>(-7, -7));
+  plan.exec_batch_fused(got.data(), nbatch, total, sign, keep3(pc.N), fill);
+  ASSERT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(got[0])), 0);
+}
+
+}  // namespace
+
+TEST(FftNd, PrunedType1MatchesFullOnKeptModesBitwise) {
+  for (const auto& pc : prune_cases())
+    for (int sign : {-1, +1})
+      for (int modeord : {0, 1}) {
+        SCOPED_TRACE(::testing::Message() << "dim " << pc.N.size() << " N0 " << pc.N[0]
+                                          << " sign " << sign << " modeord " << modeord);
+        check_pruned_type1<double>(pc, sign, modeord);
+        check_pruned_type1<float>(pc, sign, modeord);
+      }
+}
+
+TEST(FftNd, PrunedType2MatchesFullGridBitwise) {
+  for (const auto& pc : prune_cases())
+    for (int sign : {-1, +1})
+      for (int modeord : {0, 1}) {
+        SCOPED_TRACE(::testing::Message() << "dim " << pc.N.size() << " N0 " << pc.N[0]
+                                          << " sign " << sign << " modeord " << modeord);
+        check_pruned_type2<double>(pc, sign, modeord);
+        check_pruned_type2<float>(pc, sign, modeord);
+      }
+}
+
+TEST(FftNd, PrunedLineCounts) {
+  ThreadPool pool(2);
+  const std::size_t nbatch = 3;
+  fft::FftNd<double> plan(pool, {24, 18, 30});
+  const fft::FftNd<double>::Extents keep{12, 9, 24};
+  std::vector<std::complex<double>> data(nbatch * plan.total());
+  const std::size_t t1 = plan.exec_batch(data.data(), nbatch, plan.total(), -1, keep,
+                                         [](const std::complex<double>*, std::size_t,
+                                            std::size_t) {});
+  EXPECT_EQ(t1, nbatch * (18 * 30 + 12 * 30 + 12 * 9));  // nf1 nf2 + N0 nf2 + N0 N1
+  const std::size_t t2 = plan.exec_batch_fused(
+      data.data(), nbatch, plan.total(), +1, keep,
+      [](std::complex<double>* row, std::size_t, std::size_t) {
+        std::fill(row, row + 24, std::complex<double>(1, 0));
+        return true;
+      });
+  EXPECT_EQ(t2, nbatch * (9 * 24 + 24 * 24 + 24 * 18));  // N1 N2 + nf0 N2 + nf0 nf1
+  EXPECT_EQ(plan.exec(data.data(), -1), 18u * 30 + 24u * 30 + 24u * 18);
+}
+
+TEST(FftNd, RejectsKeptExtentOutsideGrid) {
+  ThreadPool pool(2);
+  fft::FftNd<double> plan(pool, {8, 6});
+  std::vector<std::complex<double>> data(plan.total());
+  auto sink = [](const std::complex<double>*, std::size_t, std::size_t) {};
+  EXPECT_THROW(plan.exec_batch(data.data(), 1, 0, -1, {9, 6, 1}, sink),
+               std::invalid_argument);
+  EXPECT_THROW(plan.exec_batch(data.data(), 1, 0, -1, {8, 0, 1}, sink),
+               std::invalid_argument);
+}
+
+// The type-2 pruned passes skip lines that lie in the zero padding instead of
+// transforming them; that leaves the same bits only because the mixed-radix
+// transform of an all-zero line is +0 in every component (never -0).
+template <typename T>
+void check_zero_line_positive(std::size_t n) {
+  fft::Fft1d<T> plan(n);
+  std::vector<std::complex<T>> in(n, std::complex<T>(0, 0)), out(n, std::complex<T>(1, 1)),
+      work(plan.workspace_size());
+  const std::vector<std::complex<T>> zero(n, std::complex<T>(0, 0));
+  for (int sign : {-1, +1}) {
+    plan.exec(in.data(), 1, out.data(), sign, work.data());
+    ASSERT_EQ(std::memcmp(out.data(), zero.data(), n * sizeof(zero[0])), 0)
+        << "n " << n << " sign " << sign;
+  }
+}
+
+TEST(Fft1d, ZeroLineMapsToPositiveZeroAt235Sizes) {
+  // Every 2^a 3^b 5^c size up to 1000, plus the fine-grid sizes of the
+  // benchmark plans (64^3 at sigma 2, the M-TIP 81^3 merge and 90^3 slicing
+  // grids, a 512^2 grid).
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 2; n <= 1000; ++n)
+    if (fft::is_235(n)) sizes.push_back(n);
+  for (std::size_t n : {1024u, 1080u, 1200u}) sizes.push_back(n);
+  for (std::size_t n : sizes) {
+    check_zero_line_positive<double>(n);
+    check_zero_line_positive<float>(n);
+  }
 }

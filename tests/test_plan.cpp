@@ -340,8 +340,9 @@ TEST(Plan, BreakdownTimesArePopulated) {
   EXPECT_GT(bd.sort, 0.0);
   EXPECT_GT(bd.spread, 0.0);
   EXPECT_GT(bd.fft, 0.0);
-  EXPECT_GT(bd.deconvolve, 0.0);
+  EXPECT_EQ(bd.deconvolve, 0.0);  // runs inside the FFT's last pass (bd.fft)
   EXPECT_EQ(bd.interp, 0.0);
+  EXPECT_GT(bd.fft_lines, 0u);
 }
 
 TEST(Plan, DeviceRamAccountingScalesWithProblem) {
@@ -751,4 +752,134 @@ TEST(Plan, NonFiniteCoordinatesRejectedF32) {
 TEST(Plan, NonFiniteCoordinatesRejectedF64) {
   for (int dim : {2, 3})
     for (int type : {1, 2}) check_rejects_nonfinite<double>(dim, type);
+}
+
+// ---- pruned FFT passes ------------------------------------------------------
+
+namespace {
+
+// The 1D transforms a pruned execute runs per plane: type 1 visits, on axis a,
+// the retained indices of the axes before a and every index of the axes
+// after it; type 2 the mirror image.
+std::size_t expected_fft_lines(int type, const std::vector<std::int64_t>& N,
+                               const cf::spread::GridSpec& g) {
+  const std::size_t dim = N.size();
+  std::size_t lines = 0;
+  for (std::size_t a = 0; a < dim; ++a) {
+    std::size_t n = 1;
+    for (std::size_t d = 0; d < dim; ++d) {
+      if (d == a) continue;
+      const bool kept = type == 1 ? d < a : d > a;
+      n *= static_cast<std::size_t>(kept ? N[d] : g.nf[d]);
+    }
+    lines += n;
+  }
+  return lines;
+}
+
+}  // namespace
+
+TEST(Plan, FftLinesCountThePrunedPasses) {
+  vgpu::Device dev(3);
+  const std::vector<std::vector<std::int64_t>> shapes = {{37}, {24, 17}, {12, 9, 10}};
+  for (const auto& N : shapes)
+    for (int type : {1, 2})
+      for (int modeord : {0, 1})
+        for (double sigma : {2.0, 1.25}) {
+          SCOPED_TRACE(::testing::Message() << "dim " << N.size() << " type " << type
+                                            << " modeord " << modeord << " sigma " << sigma);
+          Problem<double> p(N, 300, false, 23);
+          core::Options opts;
+          opts.modeord = modeord;
+          opts.upsampfac = sigma;
+          opts.ntransf = 2;
+          core::Plan<double> plan(dev, type, p.N, +1, 1e-6, opts);
+          plan.set_points(p.M, p.x.data(), N.size() >= 2 ? p.y.data() : nullptr,
+                          N.size() >= 3 ? p.z.data() : nullptr);
+          std::vector<std::complex<double>> c(2 * p.M), f(2 * p.f.size());
+          for (std::size_t i = 0; i < p.M; ++i) c[i] = c[p.M + i] = p.c[i];
+          for (std::size_t i = 0; i < p.f.size(); ++i) f[i] = f[p.f.size() + i] = p.f[i];
+          const auto bd = plan.execute(c.data(), f.data());
+          EXPECT_EQ(bd.fft_lines, 2 * expected_fft_lines(type, N, plan.fine_grid()));
+        }
+  // The 3D type-1 count spelled out: nf1*nf2 + N0*nf2 + N0*N1 per plane.
+  const std::int64_t n3[3] = {12, 9, 10};
+  core::Plan<double> plan(dev, 1, std::span(n3, 3), +1, 1e-6);
+  const auto& g = plan.fine_grid();
+  EXPECT_EQ(expected_fft_lines(1, {12, 9, 10}, g),
+            static_cast<std::size_t>(g.nf[1] * g.nf[2] + 12 * g.nf[2] + 12 * 9));
+}
+
+TEST(Plan, TapBytesReportTheTableAnExecuteRead) {
+  vgpu::Device dev(2);
+  Problem<float> p({32, 32}, 4000, false, 29);
+  core::Options sm;
+  sm.method = core::Method::SM;
+  core::Options gmsort;
+  gmsort.method = core::Method::GMSort;
+  std::vector<std::complex<float>> f(p.f.size()), c(p.M);
+  for (int type : {1, 2}) {
+    for (const core::Options& o : {sm, gmsort}) {
+      if (type == 2 && o.method == core::Method::SM) continue;
+      core::Plan<float> plan(dev, type, p.N, +1, 1e-5, o);
+      plan.set_points(p.M, p.x.data(), p.y.data(), nullptr);
+      const auto bd = type == 1 ? plan.execute(p.c.data(), f.data())
+                                : plan.execute(c.data(), p.f.data());
+      if (type == 1 && o.method == core::Method::SM) {
+        // One row of dim * wpad values and dim leftmost indices per point.
+        EXPECT_GE(bd.tap_bytes, p.M * (2 * sizeof(float) * plan.kernel_width() +
+                                       2 * sizeof(std::int32_t)));
+      } else {
+        EXPECT_EQ(bd.tap_bytes, 0u);  // taps evaluated inline (or interp)
+      }
+    }
+  }
+}
+
+// ---- index widths -----------------------------------------------------------
+
+TEST(Plan, RejectsFineGridBeyond32BitIndex) {
+  vgpu::Device dev(1);
+  const std::size_t before = dev.bytes_in_use();
+  // 2^30 modes at sigma = 2 need nf = 2^31 > INT32_MAX; the plan must throw
+  // before its FFT allocates anything of that length.
+  const std::int64_t n1[1] = {std::int64_t(1) << 30};
+  EXPECT_THROW(core::Plan<float>(dev, 1, std::span(n1, 1), +1, 1e-3),
+               std::invalid_argument);
+  const std::int64_t n3[3] = {8, 8, std::int64_t(1) << 30};
+  EXPECT_THROW(core::Plan<double>(dev, 2, std::span(n3, 3), +1, 1e-6),
+               std::invalid_argument);
+  core::Options low;
+  low.upsampfac = 1.25;
+  const std::int64_t n2[2] = {std::int64_t(1) << 31, 8};
+  EXPECT_THROW(core::Plan<float>(dev, 1, std::span(n2, 2), +1, 1e-3, low),
+               std::invalid_argument);
+  EXPECT_EQ(dev.bytes_in_use(), before);
+}
+
+TEST(Plan, RejectsPointCountBeyond32BitIndex) {
+  vgpu::Device dev(2);
+  Problem<double> p({16, 16}, 500, false, 31);
+  for (int type : {1, 2}) {
+    core::Plan<double> plan(dev, type, p.N, +1, 1e-6);
+    plan.set_points(p.M, p.x.data(), p.y.data(), nullptr);
+    std::vector<std::complex<double>> out1(type == 1 ? p.f.size() : p.M), out2(out1.size());
+    std::vector<std::complex<double>> in = type == 1 ? p.c : p.f;
+    if (type == 1)
+      plan.execute(in.data(), out1.data());
+    else
+      plan.execute(out1.data(), in.data());
+    const std::size_t before = dev.bytes_in_use();
+    // The arrays hold 500 points; the count is rejected before any is read.
+    const std::size_t huge = std::size_t(std::numeric_limits<std::uint32_t>::max()) + 1;
+    EXPECT_THROW(plan.set_points(huge, p.x.data(), p.y.data(), nullptr),
+                 std::invalid_argument);
+    EXPECT_EQ(dev.bytes_in_use(), before);
+    // The previous points stay in place.
+    if (type == 1)
+      plan.execute(in.data(), out2.data());
+    else
+      plan.execute(out2.data(), in.data());
+    for (std::size_t i = 0; i < out1.size(); ++i) ASSERT_EQ(out1[i], out2[i]);
+  }
 }

@@ -322,3 +322,27 @@ TEST(Type3, NonFiniteCoordinatesRejected) {
     EXPECT_NO_THROW(plan.execute(c.data(), f.data()));
   }
 }
+
+TEST(Type3, RejectsIndexWidthOverflow) {
+  cf::vgpu::Device dev(1);
+  std::vector<double> x(8, 0.1), s(8, 0.2);
+  const std::size_t huge = std::size_t(std::numeric_limits<std::uint32_t>::max()) + 1;
+  // Source or target counts beyond the uint32 point index, rejected before
+  // any coordinate is read.
+  core::Type3Plan<double> plan(dev, 1, +1, 1e-6);
+  EXPECT_THROW(plan.set_points(huge, x.data(), nullptr, nullptr, 8, s.data(), nullptr,
+                               nullptr),
+               std::invalid_argument);
+  EXPECT_THROW(plan.set_points(8, x.data(), nullptr, nullptr, huge, s.data(), nullptr,
+                               nullptr),
+               std::invalid_argument);
+  // A space-frequency product that needs a fine grid beyond INT32_MAX.
+  std::vector<double> wide{-1e5, 1e5}, freq{-1e5, 1e5};
+  const std::size_t before = dev.bytes_in_use();
+  EXPECT_THROW(plan.set_points(2, wide.data(), nullptr, nullptr, 2, freq.data(), nullptr,
+                               nullptr),
+               std::invalid_argument);
+  EXPECT_EQ(dev.bytes_in_use(), before);
+  std::vector<std::complex<double>> c(2, {1, 0}), f(2);
+  EXPECT_THROW(plan.execute(c.data(), f.data()), std::logic_error);  // holds no points
+}
