@@ -275,8 +275,8 @@ std::pair<double, double> time_exec_best(const core::Plan<float>& plan, Body&& b
 /// Batch ablation at the tracked configuration: 3D SM type-1 execute, rand,
 /// tol = 1e-6, fp32, B = 8. One batched execute (Options::ntransf = 8, the
 /// batch-strided pipeline: weights evaluated once per point, one batched FFT
-/// launch, one deconvolve launch) against 8 serial B = 1 executes on an
-/// identical plan with identical points.
+/// launch with the deconvolve in its last pass) against 8 serial B = 1
+/// executes on an identical plan with identical points.
 void run_batch(vgpu::Device& dev, const Tracked3d& t3, std::size_t M, int reps,
                bench::JsonReport& json) {
   const double tol = 1e-6;
@@ -770,7 +770,8 @@ void run_tiled_cluster(const Tracked3d& t3, std::size_t M, int reps,
 /// Low-upsampling ablation: the tracked 3D type-1 problem at sigma = 2 vs
 /// sigma = 1.25 (GM-sort). Reports the fine-grid footprint (fw bytes — the
 /// (2/1.25)^3 ~ 4.1x shrink this mode exists for), the set_points / spread /
-/// FFT / deconvolve split, and whole-execute time. The smaller grid buys a
+/// FFT split (the FFT includes the deconvolve, fused into its last pass), and
+/// whole-execute time. The smaller grid buys a
 /// cheaper FFT and less fw traffic at the cost of a wider kernel (w 7 -> 10
 /// at tol 1e-6).
 void run_sigma(vgpu::Device& dev, const Tracked3d& t3, std::size_t M, int reps,
@@ -782,8 +783,7 @@ void run_sigma(vgpu::Device& dev, const Tracked3d& t3, std::size_t M, int reps,
 
   std::printf("\n--- upsampling-factor ablation: 3D GM-sort type-1, rand, M=%zu, "
               "tol=%g, fp32, sigma in {2, 1.25} ---\n", M, tol);
-  Table t({"sigma", "w", "fw MB", "setpts [s]", "exec [s]", "spread [s]",
-           "fft [s]", "deconv [s]"});
+  Table t({"sigma", "w", "fw MB", "setpts [s]", "exec [s]", "spread [s]", "fft [s]"});
   std::size_t fw2 = 0;
   for (double sigma : {2.0, 1.25}) {
     core::Options opts;
@@ -801,8 +801,7 @@ void run_sigma(vgpu::Device& dev, const Tracked3d& t3, std::size_t M, int reps,
     const auto bd = plan.last_breakdown();
     t.add_row({Table::fmt(sigma, 2), std::to_string(plan.kernel_width()),
                Table::fmt(double(fw_bytes) / 1048576.0, 2), Table::fmt(setpts_s, 3),
-               Table::fmt(exec_s, 3), Table::fmt(spread_s, 3), Table::fmt(bd.fft, 3),
-               Table::fmt(bd.deconvolve, 3)});
+               Table::fmt(exec_s, 3), Table::fmt(spread_s, 3), Table::fmt(bd.fft, 3)});
     auto& rec = json.add();
     rec.field("bench", "sigma3d")
         .field("dist", "rand")
@@ -818,7 +817,6 @@ void run_sigma(vgpu::Device& dev, const Tracked3d& t3, std::size_t M, int reps,
         .field("exec_s", exec_s)
         .field("spread_s", spread_s)
         .field("fft_s", bd.fft)
-        .field("deconvolve_s", bd.deconvolve)
         .field("pts_per_s", double(M) / exec_s);
   }
   t.print();

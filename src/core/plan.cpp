@@ -22,18 +22,6 @@ const char* method_name(Method m) {
 
 namespace {
 
-/// Tile edge for the tiled spread engine on one axis: about 4*pad cells (never
-/// below the paper's bin edge, 32 in 2D and 16 in 3D), so the halo stays a
-/// modest share of the padded tile, with the tile count rounded to an even
-/// number so that, with m >= 2*pad, two colors per axis suffice. E.g. nf 162
-/// at w = 13 (pad 7): 162 / 28 = 5.8 -> 6 tiles of 27.
-int tile_edge(std::int64_t nf, int dim, int w) {
-  const int pad = (w + 1) / 2;
-  const double target = std::max(dim == 2 ? 32.0 : 16.0, 4.0 * pad);
-  const std::int64_t n = 2 * std::max<std::int64_t>(1, std::llround(double(nf) / target / 2));
-  return static_cast<int>((nf + n - 1) / n);
-}
-
 std::vector<std::size_t> fft_dims(const spread::GridSpec& g) {
   std::vector<std::size_t> dims;
   for (int d = 0; d < g.dim; ++d) dims.push_back(static_cast<std::size_t>(g.nf[d]));
@@ -86,19 +74,12 @@ Plan<T>::Plan(vgpu::Device& dev, int type, std::span<const std::int64_t> nmodes,
   }
   need_sort_ = (method_ == Method::GMSort || method_ == Method::SM);
 
-  // Width-aware tiles for the tiled spread (see the header notes). SM has
+  // Width-aware tiles for the tiled spread (spread::tile_bins). SM has
   // already been checked against the paper's bins above; those bins only
   // serve its atomic fallback, which runs when the geometry gate fails, and
   // a shape that fails the gate keeps the paper's bins.
-  if (type_ == 1 && need_sort_ && opts_.binsize[0] <= 0 && grid_.dim >= 2) {
-    std::array<int, 3> tsz{1, 1, 1};
-    bool fits = true;
-    for (int d = 0; d < grid_.dim; ++d) {
-      tsz[d] = tile_edge(grid_.nf[d], grid_.dim, kp_.w);
-      fits = fits && tsz[d] + 2 * ((kp_.w + 1) / 2) <= grid_.nf[d];
-    }
-    if (fits) bins_ = spread::BinSpec::make(grid_, tsz);
-  }
+  if (type_ == 1 && need_sort_ && opts_.binsize[0] <= 0)
+    bins_ = spread::tile_bins(grid_, kp_.w);
 
   // One fine-grid plane per stacked vector, so a batched execute spreads,
   // transforms, and deconvolves the whole ntransf stack without reusing (and

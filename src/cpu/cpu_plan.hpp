@@ -1,23 +1,21 @@
 // FINUFFT-like multithreaded CPU NUFFT — the paper's CPU comparator.
 //
 // Same ES kernel, width rule, upsampled fine grid (sigma = 2 or 1.25), and
-// deconvolution as the device library, but organized the way the parallel
-// CPU code is: bin-sorted
-// points are spread in subproblems into thread-local padded-bin buffers that
-// are merged into the fine grid with a tile-owned atomic-free core/halo
-// scheme (the device library's engine before it switched to a colored direct
-// writeback; deterministic at any pool size), falling back to FINUFFT's
-// atomic padded-bin merge only when the tile geometry gate or arena cap
-// fails; interpolation is a plain parallel gather
-// over sorted points; the FFT (pruned to the lines that reach the retained
-// modes) runs on the host pool.
+// deconvolution as the device library, run as a host library over the
+// caller's thread pool. The type-1 spread is the device library's own engine,
+// launched on a private vgpu::Device that borrows that pool: spread::bin_sort
+// into the shared width-aware tiles (spread::tile_bins), then the colored
+// tile-owned writeback (spread_tiled_batch, taps evaluated inline; zero
+// atomics, bitwise-deterministic at any pool size). When the tile geometry
+// gate fails, the spread falls back to spread_gm_batch's atomic writeback
+// over the bin-sort order. A type-1 CpuPlan is therefore bitwise equal to a
+// core::Plan with Method::GMSort. Interpolation is the comparator's own plain
+// parallel gather over sorted points; the FFT (pruned to the lines that
+// reach the retained modes) runs on the pool.
 //
-// Mirrors the device library's stage-pipeline shape: every stage is
-// batch-strided (ntransf = B stacked vectors, weights evaluated once per
-// point) with B = 1 as the plain single-vector case, the spread point loops
-// get the same compile-time width dispatch as the device kernels, and
-// type-2's amplify and type-1's deconvolve are fused into the FFT's first and
-// last axis pass.
+// Every stage is batch-strided (ntransf = B stacked vectors) with B = 1 as
+// the plain single-vector case, and type-2's amplify and type-1's deconvolve
+// are fused into the FFT's first and last axis pass.
 #pragma once
 
 #include <array>
@@ -29,23 +27,15 @@
 #include <vector>
 
 #include "common/thread_pool.hpp"
+#include "core/plan.hpp"
 #include "fft/fftnd.hpp"
+#include "spreadinterp/binsort.hpp"
 #include "spreadinterp/es_kernel.hpp"
 #include "spreadinterp/grid.hpp"
+#include "spreadinterp/point_cache.hpp"
+#include "vgpu/device.hpp"
 
 namespace cf::cpu {
-
-/// Stage timings (seconds) from the last set_points()/execute().
-struct CpuBreakdown {
-  double sort = 0;
-  double spread = 0;
-  double fft = 0;        ///< includes the type-1 deconvolve and the type-2
-                         ///< amplify fused into its passes
-  double interp = 0;
-  std::size_t fft_lines = 0;  ///< 1D transforms the last execute ran (all axes
-                              ///< and planes)
-  double total() const { return spread + fft + interp; }
-};
 
 /// CPU NUFFT plan; same plan/setpts/execute lifecycle and mode conventions as
 /// core::Plan (k from -N/2 to N/2-1 per axis, x-fastest).
@@ -55,8 +45,7 @@ class CpuPlan {
   using cplx = std::complex<T>;
 
   struct Options {
-    std::uint32_t msub = 16384;           ///< CPU subproblem cap (larger caches)
-    std::array<int, 3> binsize{0, 0, 0};  ///< 0 = defaults
+    std::array<int, 3> binsize{0, 0, 0};  ///< 0 = defaults (type 1: spread::tile_bins)
     double upsampfac = 2.0;               ///< fine-grid sigma: 2.0 or 1.25
     int ntransf = 1;                      ///< stacked vectors per execute
     int modeord = 0;                      ///< 0 = CMCL (-N/2..), 1 = FFT-style
@@ -76,8 +65,11 @@ class CpuPlan {
   std::int64_t modes_total() const { return N_[0] * N_[1] * N_[2]; }
   const spread::GridSpec& fine_grid() const { return grid_; }
 
-  /// Copy of the most recent set_points()/execute() snapshot.
-  CpuBreakdown last_breakdown() const {
+  /// Copy of the most recent set_points()/execute() snapshot. Filled like
+  /// core::Plan's: stage timings, fft_lines, and for type 1 the tiled engine's
+  /// fields (tiled, atomic_reason, tile_colors, tiles_active, arena_bytes,
+  /// chunk_steals, ...). The tap-table and interior-partition fields stay 0.
+  core::Breakdown last_breakdown() const {
     std::lock_guard lk(mu_);
     return bd_;
   }
@@ -94,18 +86,17 @@ class CpuPlan {
   /// requests), growing the fine-grid stack on first use. Thread-safe like
   /// core::Plan: concurrent executes on a shared plan serialize internally
   /// and each caller receives its own per-execute snapshot.
-  CpuBreakdown execute(cplx* c, cplx* f, int B = 0);
+  core::Breakdown execute(cplx* c, cplx* f, int B = 0);
 
  private:
   // Batch-strided stages; B = 1 is the single-vector case. The FFT's fused
   // type-2 amplify row producer and type-1 deconvolve line sink are the
   // shared spread::amplify_fine_row and spread::deconvolve_line.
-  void spread_sorted(const cplx* c, int B);
-  void spread_tiled(const cplx* c, int B);
-  void build_tile_cache();
+  void spread_step(const cplx* c, int B, core::Breakdown& bd);
   void interp_sorted(cplx* c, int B);
 
-  ThreadPool* pool_;
+  vgpu::Device dev_;  ///< borrows the caller's pool; declared first so the
+                      ///< device buffers below are released before it
   int type_;
   int iflag_;
   Options opts_;
@@ -122,31 +113,11 @@ class CpuPlan {
 
   std::vector<T> xg_, yg_, zg_;
   std::size_t M_ = 0;
-  std::vector<std::uint32_t> order_;
-  std::vector<std::uint32_t> bin_start_;  // size nbins+1
-
-  // Tile-ownership cache for the atomic-free merge, built in set_points:
-  // geometry gate, active-bin compaction, and the per-tile arena reused by
-  // every execute.
-  bool tile_ok_ = false;
-  int tile_nb_ = 1;  ///< batch planes held per tile (chunked by the arena cap)
-  std::vector<std::uint32_t> tile_active_, tile_slot_of_;
-  std::vector<cplx> tile_arena_;
-
-  // Canonical (tile, chunk) split mirroring the device TileSet: overfull bins
-  // are cut into balanced point-chunks (pure function of the points, never of
-  // the pool size), scheduled largest-first over the pool's work-stealing
-  // path; split tiles reduce their chunk planes in fixed chunk order before
-  // the core writeback, so the merge stays bitwise-deterministic.
-  std::uint32_t chunk_cap_ = 0;  ///< applied cap (UINT32_MAX = no splitting)
-  std::vector<std::uint32_t> tile_chunk0_;  ///< slot -> first chunk (size +1)
-  std::vector<std::uint32_t> chunk_tile_, chunk_off_, chunk_cnt_, chunk_plane_;
-  std::vector<std::uint32_t> chunk_sched_;  ///< chunk ids largest-first
-  std::vector<std::uint32_t> split_tile_;   ///< slots with > 1 chunk
-  std::vector<cplx> chunk_arena_;  ///< split-chunk planes (plane-major)
+  spread::DeviceSort sort_;
+  spread::TileSet<T> tiles_;  ///< type-1 tile coloring and schedule
 
   mutable std::mutex mu_;  ///< serializes set_points/execute; guards bd_
-  CpuBreakdown bd_;
+  core::Breakdown bd_;
 };
 
 extern template class CpuPlan<float>;

@@ -64,8 +64,8 @@ class DevicePlan final : public TypedPlan<T> {
 };
 
 /// CPU-comparator backend behind the same interface; it shares the device's
-/// worker pool, so service traffic never oversubscribes the host. Stage
-/// timings map onto the device Breakdown fields; device-only counters stay 0.
+/// worker pool, so service traffic never oversubscribes the host. CpuPlan
+/// returns the device library's Breakdown, filled by the same spread engine.
 template <typename T>
 class CpuBackendPlan final : public TypedPlan<T> {
  public:
@@ -77,14 +77,7 @@ class CpuBackendPlan final : public TypedPlan<T> {
     plan_.set_points(M, x, y, z);
   }
   core::Breakdown execute(std::complex<T>* c, std::complex<T>* f, int B) override {
-    const cpu::CpuBreakdown cb = plan_.execute(c, f, B);
-    core::Breakdown bd;
-    bd.sort = cb.sort;
-    bd.spread = cb.spread;
-    bd.fft = cb.fft;
-    bd.interp = cb.interp;
-    bd.fft_lines = cb.fft_lines;
-    return bd;
+    return plan_.execute(c, f, B);
   }
   std::int64_t modes_total() const override { return plan_.modes_total(); }
 
@@ -92,7 +85,6 @@ class CpuBackendPlan final : public TypedPlan<T> {
   static typename cpu::CpuPlan<T>::Options cpu_options(const PlanKey& key,
                                                        int max_batch) {
     typename cpu::CpuPlan<T>::Options o;
-    if (key.msub > 0) o.msub = static_cast<std::uint32_t>(key.msub);
     o.binsize = {key.binsize[0], key.binsize[1], key.binsize[2]};
     o.ntransf = max_batch;
     o.modeord = key.modeord;
@@ -171,12 +163,14 @@ PlanKey make_plan_key(Backend backend, int type, int dim, const std::int64_t* nm
     k.modeord = 0;
   }
   if (backend == Backend::Cpu) {
-    // CpuBackendPlan::cpu_options does not consume the device-only method,
-    // so under Backend::Cpu it is a dead signature bit: two requests
-    // differing only here would build two registry entries that serve
-    // byte-identical transforms yet never coalesce (and double-pay plan
-    // construction and set_points). Normalize it to the field default.
+    // CpuBackendPlan::cpu_options consumes neither the device-only method
+    // nor the SM subproblem cap, so under Backend::Cpu both are dead
+    // signature bits: two requests differing only there would build two
+    // registry entries that serve byte-identical transforms yet never
+    // coalesce (and double-pay plan construction and set_points). Normalize
+    // them to 0.
     k.method = 0;
+    k.msub = 0;
   }
   return k;
 }

@@ -95,7 +95,7 @@ class PlanBase {
 };
 
 /// The typed backend interface the service drives. Breakdown is the device
-/// library's; the CPU adapter maps its CpuBreakdown stage fields onto it.
+/// library's, which the CPU comparator returns as well.
 template <typename T>
 class TypedPlan : public PlanBase {
  public:

@@ -87,6 +87,39 @@ struct BinSpec {
   }
 };
 
+/// Tile edge for the tiled spread engine on one axis: about 4*pad cells (never
+/// below the paper's bin edge, 32 in 2D and 16 in 3D), so the halo stays a
+/// modest share of the padded tile, with the tile count rounded to an even
+/// number so that, with m >= 2*pad, two colors per axis suffice. E.g. nf 162
+/// at w = 13 (pad 7): 162 / 28 = 5.8 -> 6 tiles of 27.
+inline int tile_edge(std::int64_t nf, int dim, int w) {
+  const int pad = (w + 1) / 2;
+  const double target = std::max(dim == 2 ? 32.0 : 16.0, 4.0 * pad);
+  const std::int64_t n = 2 * std::max<std::int64_t>(1, std::llround(double(nf) / target / 2));
+  return static_cast<int>((nf + n - 1) / n);
+}
+
+/// Sort bins (= spread tiles) of a type-1 plan whose bin size is unset: 2D/3D
+/// grids get tile_edge tiles on every axis when each padded tile fits the fine
+/// grid (the tiled engine's geometry gate); 1D grids, and grids too small for
+/// the gate, keep the paper's default bins. The tiled engine's scratch lives
+/// in global memory, so the 48 KiB budget that shapes the paper's bins does
+/// not bind it, and the paper's 2-cell z extent would be mostly halo and need
+/// 1 + pad colors.
+inline BinSpec tile_bins(const GridSpec& g, int w) {
+  std::array<int, 3> tsz = BinSpec::default_size(g.dim);
+  if (g.dim >= 2) {
+    std::array<int, 3> wide{1, 1, 1};
+    bool fits = true;
+    for (int d = 0; d < g.dim; ++d) {
+      wide[d] = tile_edge(g.nf[d], g.dim, w);
+      fits = fits && wide[d] + 2 * ((w + 1) / 2) <= g.nf[d];
+    }
+    if (fits) tsz = wide;
+  }
+  return BinSpec::make(g, tsz);
+}
+
 /// Maps a nonuniform coordinate (any real; typically [-pi, pi)) to its
 /// fine-grid coordinate in [0, nf) with periodic folding (the FINUFFT
 /// "fold-and-rescale"). Grid index l represents position x = l*h mod 2*pi,

@@ -1,5 +1,5 @@
 // Shared machinery for the spread/interp translation units (spread_gm.cpp,
-// spread_sm.cpp, interp.cpp, point_cache.cpp) and the CPU comparator: the
+// spread_sm.cpp, spread_tiled.cpp, interp.cpp, point_cache.cpp): the
 // width-dispatch switch, per-point tabulation, subproblem geometry, and the
 // small loop helpers the kernels are built from. This header is the single
 // home of the dispatch machinery — kernels in any TU get identical

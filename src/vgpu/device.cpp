@@ -5,7 +5,13 @@
 namespace cf::vgpu {
 
 Device::Device(std::size_t workers, DeviceProps p)
-    : props(p), pool_(std::make_unique<ThreadPool>(workers)) {
+    : props(p), owned_pool_(std::make_unique<ThreadPool>(workers)), pool_(owned_pool_.get()) {
+  alloc_arenas();
+}
+
+Device::Device(ThreadPool& pool, DeviceProps p) : props(p), pool_(&pool) { alloc_arenas(); }
+
+void Device::alloc_arenas() {
   arenas_.reserve(pool_->size());
   for (std::size_t i = 0; i < pool_->size(); ++i)
     arenas_.push_back(std::make_unique<std::byte[]>(props.shared_mem_per_block));

@@ -132,6 +132,10 @@ class Device {
  public:
   /// `workers` host threads act as the device's SMs (0 = all cores).
   explicit Device(std::size_t workers = 0, DeviceProps props = {});
+  /// Runs on a caller-owned pool, which must outlive the device. Launches
+  /// share the pool's workers with its other users; each device keeps its
+  /// own shared-memory arenas, counters and memory accounting.
+  explicit Device(ThreadPool& pool, DeviceProps props = {});
 
   DeviceProps props;
   DeviceCounters counters;
@@ -221,10 +225,12 @@ class Device {
     };
   }
 
+  void alloc_arenas();  ///< one shared-memory arena per pool worker
   std::byte* smem_arena(std::size_t wid) { return arenas_[wid].get(); }
   std::byte* inline_arena();  ///< per-OS-thread arena for inline-run blocks
 
-  std::unique_ptr<ThreadPool> pool_;
+  std::unique_ptr<ThreadPool> owned_pool_;  ///< null when the pool is borrowed
+  ThreadPool* pool_;
   std::vector<std::unique_ptr<std::byte[]>> arenas_;
   std::atomic<std::size_t> bytes_in_use_{0};
   std::atomic<std::size_t> peak_bytes_{0};

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <complex>
+#include <cstring>
 #include <limits>
 #include <tuple>
 #include <vector>
@@ -11,6 +12,7 @@
 #include "core/plan.hpp"
 #include "cpu/cpu_plan.hpp"
 #include "cpu/direct.hpp"
+#include "test_env.hpp"
 #include "vgpu/device.hpp"
 
 namespace cpu = cf::cpu;
@@ -301,23 +303,23 @@ TEST(CpuPlan, InvalidArgumentsThrow) {
   EXPECT_THROW(plan.set_points(10, nullptr, nullptr, nullptr), std::invalid_argument);
 }
 
-TEST(CpuPlan, MsubDoesNotChangeResult) {
+TEST(CpuPlan, GateFailureFallsBackToAtomicGm) {
+  // 8x8 modes at tol 1e-12 (w = 13, pad 7) give a 27-cell fine grid: even two
+  // tiles per axis pad to 28 cells, so the geometry gate fails and the spread
+  // runs spread_gm_batch's atomic writeback over the bin-sort order.
   ThreadPool pool(4);
-  Problem<double> p({40, 40}, 5000, 41);
-  std::vector<std::complex<double>> base;
-  for (std::uint32_t msub : {64u, 1024u, 16384u, 1000000u}) {
-    cpu::CpuPlan<double>::Options o;
-    o.msub = msub;
-    cpu::CpuPlan<double> plan(pool, 1, p.N, +1, 1e-9, o);
-    plan.set_points(p.M, p.x.data(), p.y.data(), nullptr);
-    std::vector<std::complex<double>> f(p.f.size());
-    auto c = p.c;
-    plan.execute(c.data(), f.data());
-    if (base.empty())
-      base = f;
-    else
-      EXPECT_LT(cpu::rel_l2_error<double>(f, base), 1e-12) << "msub=" << msub;
-  }
+  Problem<double> p({8, 8}, 2000, 41);
+  cpu::CpuPlan<double> plan(pool, 1, p.N, +1, 1e-12);
+  ASSERT_EQ(plan.fine_grid().nf[0], 27);
+  plan.set_points(p.M, p.x.data(), p.y.data(), nullptr);
+  std::vector<std::complex<double>> got(p.f.size()), want(p.f.size());
+  auto c = p.c;
+  const auto bd = plan.execute(c.data(), got.data());
+  EXPECT_EQ(bd.tiled, 0);
+  EXPECT_EQ(bd.atomic_reason, cf::core::AtomicReason::TileGate);
+  EXPECT_EQ(bd.arena_bytes, 0u);
+  cpu::direct_type1<double>(pool, p.x, p.y, {}, p.c, +1, p.N, want);
+  EXPECT_LT(cpu::rel_l2_error<double>(got, want), 1e-10);
 }
 
 TEST(CpuPlan, HornerKerevalMatchesDirect) {
@@ -402,16 +404,79 @@ TEST(CpuPlan, ClusteredPointsAccurate) {
 }
 
 TEST(CpuPlan, ThreadCountInvariance) {
-  Problem<double> p({30, 30}, 3000, 53);
-  ThreadPool p1(1), p8(8);
-  cpu::CpuPlan<double> a(p1, 1, p.N, +1, 1e-10), b(p8, 1, p.N, +1, 1e-10);
-  a.set_points(p.M, p.x.data(), p.y.data(), nullptr);
-  b.set_points(p.M, p.x.data(), p.y.data(), nullptr);
-  std::vector<std::complex<double>> fa(p.f.size()), fb(p.f.size());
-  auto c = p.c;
-  a.execute(c.data(), fa.data());
-  b.execute(c.data(), fb.data());
-  EXPECT_LT(cpu::rel_l2_error<double>(fb, fa), 1e-13);
+  // The tiled spread, the bin sort and the FFT are pure functions of the
+  // points, so the output bits do not depend on the pool size.
+  for (const auto& N : {std::vector<std::int64_t>{30, 30}, std::vector<std::int64_t>{20, 18, 16}}) {
+    Problem<double> p(N, 3000, 53);
+    const double* zp = N.size() == 3 ? p.z.data() : nullptr;
+    ThreadPool p1(1), p8(8);
+    cpu::CpuPlan<double> a(p1, 1, p.N, +1, 1e-10), b(p8, 1, p.N, +1, 1e-10);
+    a.set_points(p.M, p.x.data(), p.y.data(), zp);
+    b.set_points(p.M, p.x.data(), p.y.data(), zp);
+    std::vector<std::complex<double>> fa(p.f.size()), fb(p.f.size());
+    auto c = p.c;
+    EXPECT_EQ(a.execute(c.data(), fa.data()).tiled, 1) << N.size() << "D";
+    EXPECT_EQ(b.execute(c.data(), fb.data()).tiled, 1) << N.size() << "D";
+    EXPECT_EQ(std::memcmp(fa.data(), fb.data(), fa.size() * sizeof(fa[0])), 0)
+        << N.size() << "D";
+  }
+}
+
+namespace {
+
+/// A type-1 CpuPlan and a core::Plan with Method::GMSort run the same bin
+/// sort, tiles and colored spread, and the same pruned FFT and deconvolve, so
+/// their outputs agree bit for bit.
+template <typename T>
+void check_cpu_equals_gmsort(const std::vector<std::int64_t>& N, double sigma, int modeord,
+                             int ntransf) {
+  const double tol = std::is_same_v<T, double> ? 1e-9 : 1e-5;
+  Problem<T> p(N, 3000, 71 + N.size());
+  Rng rng(72);
+  std::vector<std::complex<T>> c(ntransf * p.M);
+  for (auto& v : c)
+    v = {static_cast<T>(rng.uniform(-1, 1)), static_cast<T>(rng.uniform(-1, 1))};
+  const T* yp = N.size() >= 2 ? p.y.data() : nullptr;
+  const T* zp = N.size() >= 3 ? p.z.data() : nullptr;
+  ThreadPool pool(static_cast<std::size_t>(cf::test::env_workers(3)));
+  typename cpu::CpuPlan<T>::Options co;
+  co.upsampfac = sigma;
+  co.modeord = modeord;
+  co.ntransf = ntransf;
+  cpu::CpuPlan<T> cplan(pool, 1, N, +1, tol, co);
+  cf::vgpu::Device dev(2);
+  cf::core::Options go;
+  go.method = cf::core::Method::GMSort;
+  go.upsampfac = sigma;
+  go.modeord = modeord;
+  go.ntransf = ntransf;
+  cf::core::Plan<T> gplan(dev, 1, N, +1, tol, go);
+  cplan.set_points(p.M, p.x.data(), yp, zp);
+  gplan.set_points(p.M, p.x.data(), yp, zp);
+  std::vector<std::complex<T>> fc(ntransf * p.f.size()), fg(fc.size());
+  const auto bc = cplan.execute(c.data(), fc.data());
+  const auto bg = gplan.execute(c.data(), fg.data());
+  const std::string what = std::to_string(N.size()) + "D sigma " + std::to_string(sigma) +
+                           " modeord " + std::to_string(modeord) + " ntransf " +
+                           std::to_string(ntransf);
+  ASSERT_EQ(bc.tiled, 1) << what;
+  ASSERT_EQ(bg.tiled, 1) << what;
+  EXPECT_EQ(bc.tile_colors, bg.tile_colors) << what;
+  EXPECT_EQ(bc.tile_chunks, bg.tile_chunks) << what;
+  EXPECT_EQ(std::memcmp(fc.data(), fg.data(), fc.size() * sizeof(fc[0])), 0) << what;
+}
+
+}  // namespace
+
+TEST(CpuPlan, Type1BitwiseEqualsDeviceGmSort) {
+  const std::vector<std::vector<std::int64_t>> shapes = {{1000}, {40, 36}, {28, 27, 26}};
+  for (const auto& N : shapes)
+    for (double sigma : {2.0, 1.25})
+      for (int modeord : {0, 1})
+        for (int ntransf : {1, 3}) {
+          check_cpu_equals_gmsort<float>(N, sigma, modeord, ntransf);
+          check_cpu_equals_gmsort<double>(N, sigma, modeord, ntransf);
+        }
 }
 
 TEST(CpuPlan, ModeOrderingMatchesDeviceLibrary) {

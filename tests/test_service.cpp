@@ -777,8 +777,9 @@ TEST(Service, IflagZeroRejectedInsteadOfSilentlyFoldedToPlusOne) {
 // ---- plan key: backend-dead fields are normalized ---------------------------
 
 TEST(Service, CpuPlanKeyNormalizesDeviceOnlyOptions) {
-  // Direct key check: under Backend::Cpu the device-only method is dead —
-  // CpuBackendPlan never reads it — so it must not split the signature.
+  // Direct key check: under Backend::Cpu the device-only method and SM
+  // subproblem cap are dead — CpuBackendPlan never reads them — so they must
+  // not split the signature.
   const std::int64_t N[2] = {18, 14};
   core::Options noisy;
   noisy.method = core::Method::GMSort;
@@ -788,6 +789,15 @@ TEST(Service, CpuPlanKeyNormalizesDeviceOnlyOptions) {
   const auto k_plain = service::make_plan_key<double>(service::Backend::Cpu, 1, 2, N,
                                                       +1, 1e-9, plain);
   EXPECT_EQ(k_noisy, k_plain);
+  core::Options small_msub = plain;
+  small_msub.msub = 64;
+  EXPECT_EQ(service::make_plan_key<double>(service::Backend::Cpu, 1, 2, N, +1, 1e-9,
+                                           small_msub),
+            k_plain);
+  EXPECT_FALSE(service::make_plan_key<double>(service::Backend::Device, 1, 2, N, +1,
+                                              1e-9, small_msub) ==
+               service::make_plan_key<double>(service::Backend::Device, 1, 2, N, +1,
+                                              1e-9, plain));
 
   // Options the CPU backend DOES consume still split the key...
   core::Options capped = plain;
@@ -1117,7 +1127,11 @@ TEST(Service, CpuBackendMatchesDirectCpuPlan) {
   auto req = p.request(opts, out);
   req.backend = service::Backend::Cpu;
   req.tol = 1e-9;
-  svc.submit(req).get();
+  const auto report = svc.submit(req).get();
+  // The CPU backend reports the shared engine's path like the device one.
+  EXPECT_EQ(report.breakdown.tiled, 1);
+  EXPECT_EQ(report.breakdown.atomic_reason, core::AtomicReason::None);
+  EXPECT_GT(report.breakdown.tile_colors, 0u);
 
   cf::cpu::CpuPlan<double>::Options copts;
   cf::cpu::CpuPlan<double> plan(dev.pool(), 1, p.N, +1, 1e-9, copts);
@@ -1126,9 +1140,10 @@ TEST(Service, CpuBackendMatchesDirectCpuPlan) {
   std::vector<std::complex<double>> c = p.input;
   plan.execute(c.data(), want.data());
 
-  // The small grid fails the CPU tile gate, so multi-worker spreads ride the
-  // atomic merge: assert bitwise only where that is deterministic.
-  expect_same(out, want, /*bitwise=*/workers <= 1, "CPU backend");
+  // The CPU plan spreads on width-aware tiles, which pass the geometry gate
+  // on this grid, so the tiled writeback is bitwise at any worker count.
+  EXPECT_EQ(plan.last_breakdown().tiled, 1);
+  expect_same(out, want, /*bitwise=*/true, "CPU backend");
 }
 
 // ---- C API -------------------------------------------------------------------
